@@ -111,11 +111,6 @@ class BatchConverter:
                 )
         return dst.tobytes()
 
-    def convert_many(self, payloads) -> list[bytes]:
-        """Convenience: convert a list of payloads, one output per input."""
-        blob = self.convert(b"".join(bytes(p) for p in payloads), len(payloads))
-        d = self.dst_size
-        return [blob[i * d : (i + 1) * d] for i in range(len(payloads))]
 
 
 class VarBatchConverter:

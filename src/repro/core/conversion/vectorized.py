@@ -39,12 +39,6 @@ def np_dtype(endian: str, kind: PrimKind, size: int) -> np.dtype | None:
     return np.dtype(prefix + code)
 
 
-def swap_run(src, src_off: int, count: int, dtype: np.dtype, out_dtype: np.dtype) -> bytes:
-    """Byte-order conversion of a homogeneous run, vectorized."""
-    arr = np.frombuffer(src, dtype=dtype, count=count, offset=src_off)
-    return arr.astype(out_dtype).tobytes()
-
-
 def convert_run(
     src,
     src_off: int,

@@ -28,9 +28,12 @@ format, still read (and writable via ``version=1``) for compatibility.
 The CRC detects in-place corruption (bit rot, torn writes that landed
 mid-record); the trailing length echo gives a second, independent copy
 of the framing so a scanner (:mod:`repro.tools.fsck_tool`) can resync
-after damage by walking backwards from a candidate boundary.  A process
-killed mid-append leaves at most one incomplete frame at the tail, which
-readers detect as *torn* rather than misparsing it as data.
+after damage by searching forward for the next offset that parses as an
+intact frame.  A process killed mid-append leaves at most one incomplete
+frame at the tail, which readers detect as *torn* rather than misparsing
+it as data, and which :meth:`PbioFileWriter.append` truncates before it
+writes.  The framing itself — the walker, the header and the heal — lives
+in :mod:`repro.core.framing`; this module keeps the file policy.
 
 Readers take a ``recover`` policy:
 
@@ -51,8 +54,6 @@ from __future__ import annotations
 import io
 import mmap
 import os
-import struct
-import zlib
 from typing import Any, BinaryIO, Iterator
 
 from repro.abi import RecordSchema
@@ -60,19 +61,13 @@ from repro.abi import RecordSchema
 from . import encoder as enc
 from .context import FormatHandle, IOContext
 from .errors import MessageError, PbioError
+from .framing import FILE_HEADER, FileKind, check_header, open_log, pack_frame, pack_header, walk
 from .runtime.pool import Lease
-
-# The frame discipline itself lives in repro.core.framing (shared with
-# the fmtserv cache file and the durable-delivery WAL); the historical
-# names are re-exported here because tooling imports them from this
-# module.
-from .framing import MSG_LEN as _MSG_LEN  # noqa: F401  (re-export)
-from .framing import V2_TRAILER as _V2_TRAILER  # noqa: F401  (re-export)
-from .framing import iter_frames, pack_frame  # noqa: F401  (re-export)
 
 FILE_MAGIC = b"PBIOFILE"
 FILE_VERSION = 2
-_FILE_HEADER = struct.Struct(">8sHxx")  # magic, version, pad
+#: PBIO files: the header version *is* the frame version.
+PBIO_KIND = FileKind(FILE_MAGIC, {1: 1, 2: 2}, "PBIO file", "PBIO file")
 
 #: Reader damage policies (see module docstring).
 RECOVER_POLICIES = ("raise", "skip", "stop")
@@ -95,7 +90,7 @@ class PbioFileWriter:
         version: int = FILE_VERSION,
         _header_written: bool = False,
     ):
-        if version not in (1, 2):
+        if version not in PBIO_KIND.versions:
             raise ValueError(f"unsupported PBIO file version {version}")
         self.ctx = ctx
         self.version = version
@@ -103,7 +98,7 @@ class PbioFileWriter:
         self._announced: set[int] = set()
         self._records_written = 0
         if not _header_written:
-            stream.write(_FILE_HEADER.pack(FILE_MAGIC, version))
+            stream.write(pack_header(PBIO_KIND, version))
 
     @classmethod
     def open(cls, ctx: IOContext, path: str, *, version: int = FILE_VERSION) -> "PbioFileWriter":
@@ -114,25 +109,29 @@ class PbioFileWriter:
         """Reopen an existing file for appending (at its recorded version).
 
         Formats are re-announced before their first appended record —
-        harmless to readers, which absorb repeated announcements.  The
-        file is assumed to end at a frame boundary; run
-        ``pbio-fsck --truncate`` first if a crash may have left a torn
-        tail."""
-        stream = open(path, "r+b")
-        try:
-            header = stream.read(_FILE_HEADER.size)
-            if len(header) != _FILE_HEADER.size:
-                raise MessageError("not a PBIO file: truncated header")
-            magic, version = _FILE_HEADER.unpack(header)
-            if magic != FILE_MAGIC:
-                raise MessageError(f"not a PBIO file: bad magic {magic!r}")
-            if version not in (1, 2):
-                raise MessageError(f"unsupported PBIO file version {version}")
-            stream.seek(0, io.SEEK_END)
-            return cls(ctx, stream, version=version, _header_written=True)
-        except Exception:
-            stream.close()
-            raise
+        harmless to readers, which absorb repeated announcements.  A torn
+        tail left by a crash mid-append is truncated first, so the new
+        records start at a clean frame boundary.  Damage that leaves the
+        framing untrustworthy mid-file raises :class:`MessageError` and
+        leaves the file untouched: salvage it with ``pbio-fsck --repair``.
+        """
+        limits = ctx.limits
+
+        def refuse(verdict: str) -> None:
+            if verdict in ("misaligned", "oversize"):
+                raise MessageError(
+                    f"cannot append to {path}: {verdict} frame mid-file; "
+                    f"salvage it with pbio-fsck --repair first"
+                )
+
+        stream, version = open_log(
+            path,
+            PBIO_KIND,
+            create=False,
+            max_size=limits.max_message_size if limits is not None else None,
+            on_damage=refuse,
+        )
+        return cls(ctx, stream, version=version, _header_written=True)
 
     def write_native(self, handle: FormatHandle, native) -> None:
         """Append one record already in native binary form."""
@@ -210,12 +209,23 @@ class _MapSource:
     map would never unmap).
     """
 
-    __slots__ = ("mm", "stream", "view")
+    __slots__ = ("mm", "stream", "view", "pos")
 
     def __init__(self, mm: mmap.mmap, stream: BinaryIO):
         self.mm = mm
         self.stream = stream
         self.view: memoryview | None = memoryview(mm)
+        self.pos = 0
+
+    def read(self, n: int) -> memoryview:
+        """The next ``n`` bytes as a zero-copy slice of the map (short at
+        EOF, like a stream's read)."""
+        view = self.view
+        if view is None:
+            raise ValueError("I/O operation on closed PBIO reader")
+        chunk = view[self.pos : self.pos + n]
+        self.pos += len(chunk)
+        return chunk
 
 
 def _close_map(source: _MapSource) -> None:
@@ -268,19 +278,20 @@ class PbioFileReader:
         self._recover = recover
         self._damaged = False
         self._map = _map
-        self._pos = 0
         self._lease: Lease | None = None
+        read = stream.read
         if _map is not None:
             self._lease = Lease(lambda: _close_map(_map), metrics=ctx.metrics)
-        header = self._read(_FILE_HEADER.size)
-        if len(header) != _FILE_HEADER.size:
-            raise MessageError("not a PBIO file: truncated header")
-        magic, version = _FILE_HEADER.unpack(header)
-        if magic != FILE_MAGIC:
-            raise MessageError(f"not a PBIO file: bad magic {magic!r}")
-        if version not in (1, 2):
-            raise MessageError(f"unsupported PBIO file version {version}")
-        self.version = version
+            read = _map.read
+        self.version = check_header(read(FILE_HEADER.size), PBIO_KIND)
+        limits = ctx.limits
+        # One walk per reader, resumed by every iter_raw / read_batch.
+        # It holds only the byte source, never the reader itself.
+        self._frames = walk(
+            read,
+            version=PBIO_KIND.versions[self.version],
+            max_size=limits.max_message_size if limits is not None else None,
+        )
 
     @classmethod
     def open(
@@ -310,81 +321,22 @@ class PbioFileReader:
             stream.close()
             raise
 
-    def _read(self, n: int):
-        """Next ``n`` bytes of the file: a copy from the stream, or a
-        zero-copy slice of the map (possibly short at EOF, like read)."""
-        if self._map is None:
-            return self._stream.read(n)
-        view = self._map.view
-        if view is None:
-            raise ValueError("I/O operation on closed PBIO reader")
-        pos = self._pos
-        chunk = view[pos : pos + n]
-        self._pos = pos + len(chunk)
-        return chunk
-
     # -- framing -------------------------------------------------------------
 
-    def _torn(self, what: str) -> None:
-        if self._recover == "raise":
-            raise MessageError(f"truncated PBIO file ({what})")
+    def _raise_frame_error(self, verdict: str, detail) -> None:
+        """The ``recover="raise"`` error for one damage verdict of the walk."""
+        if verdict == "torn":
+            raise MessageError(f"truncated PBIO file ({detail})")
+        if verdict == "oversize":
+            self.ctx.limits.check_message_size(detail)  # raises LimitError
+        raise MessageError(f"corrupt PBIO file: record CRC mismatch ({detail})")
+
+    def _damage(self, metric: str = "file.corrupt_records") -> bool:
+        """Count one damaged frame or record (``skip`` / ``stop``); True
+        when the reader reads on past it."""
         self._damaged = True
-        self.ctx.metrics.inc("file.torn_tails")
-
-    def _next_frame(self):
-        """The next complete, CRC-valid frame payload; ``None`` at end.
-
-        Returns ``bytes`` when streaming, a ``memoryview`` slice of the
-        map when mapped.  Under ``skip``, CRC-mismatched frames are
-        consumed and skipped (the length prefix keeps the scan aligned
-        unless its echo disagrees, in which case alignment is
-        untrustworthy and the scan stops).  Torn tails end the scan
-        under ``skip``/``stop``.
-        """
-        limits = self.ctx.limits
-        while True:
-            raw_len = self._read(_MSG_LEN.size)
-            if not raw_len:
-                return None  # clean EOF at a frame boundary
-            if len(raw_len) != _MSG_LEN.size:
-                self._torn("length prefix")
-                return None
-            (n,) = _MSG_LEN.unpack(raw_len)
-            if limits is not None and n > limits.max_message_size:
-                # A frame this size is either hostile or a corrupted
-                # prefix; either way the scan cannot safely continue.
-                if self._recover == "raise":
-                    limits.check_message_size(n)  # raises LimitError
-                self._damaged = True
-                self.ctx.metrics.inc("file.corrupt_records")
-                return None
-            message = self._read(n)
-            if len(message) != n:
-                self._torn("message body")
-                return None
-            if self.version < 2:
-                return message
-            trailer = self._read(_V2_TRAILER.size)
-            if len(trailer) != _V2_TRAILER.size:
-                self._torn("record trailer")
-                return None
-            crc, echo = _V2_TRAILER.unpack(trailer)
-            if zlib.crc32(message) == crc:
-                # An echo mismatch with a matching CRC means only the
-                # redundant echo bytes were damaged: the record is fine.
-                return message
-            if self._recover == "raise":
-                raise MessageError(
-                    f"corrupt PBIO file: record CRC mismatch "
-                    f"(stored {crc:#010x}, computed {zlib.crc32(message):#010x})"
-                )
-            self._damaged = True
-            self.ctx.metrics.inc("file.corrupt_records")
-            if self._recover == "stop" or echo != n:
-                # echo != n: the length prefix itself is suspect, so the
-                # next "boundary" would be a guess — stop, don't misparse.
-                return None
-            # skip: framing is still aligned; scan on to the next frame.
+        self.ctx.metrics.inc(metric)
+        return self._recover == "skip"
 
     def iter_raw(self) -> Iterator[bytes]:
         """Yield every *data* message, absorbing format messages.
@@ -392,10 +344,16 @@ class PbioFileReader:
         Mapped readers yield ``memoryview`` slices of the map; copy
         (``bytes(m)``) anything kept past the reader's lifetime.
         """
-        while True:
-            message = self._next_frame()
-            if message is None:
-                return
+        for _offset, _end, verdict, message in self._frames:
+            if verdict != "ok":
+                if self._recover == "raise":
+                    self._raise_frame_error(verdict, message)
+                # Under skip a corrupt frame is dropped and the walk goes
+                # on (its echo vouches for the alignment); the walk itself
+                # ends after every other verdict.
+                if not self._damage("file.torn_tails" if verdict == "torn" else "file.corrupt_records"):
+                    return
+                continue
             try:
                 kind = enc.message_kind(message)
                 if kind == enc.MSG_FORMAT:
@@ -417,9 +375,7 @@ class PbioFileReader:
                 # message (v1 corruption, or a writer bug): damage.
                 if self._recover == "raise":
                     raise
-                self._damaged = True
-                self.ctx.metrics.inc("file.corrupt_records")
-                if self._recover == "stop":
+                if not self._damage():
                     return
                 continue
             if self._damaged:
@@ -434,9 +390,7 @@ class PbioFileReader:
             except PbioError:
                 if self._recover == "raise":
                     raise
-                self._damaged = True
-                self.ctx.metrics.inc("file.corrupt_records")
-                if self._recover == "stop":
+                if not self._damage():
                     return
 
     def read_all(self) -> list[dict[str, Any]]:
@@ -483,9 +437,7 @@ class PbioFileReader:
         out: list = []
         for value in results:
             if value is None:
-                self._damaged = True
-                self.ctx.metrics.inc("file.corrupt_records")
-                if self._recover == "stop":
+                if not self._damage():
                     break
                 continue
             out.append(value)

@@ -354,19 +354,28 @@ class DecodePipeline:
 
     def decode_native(self, message, *, header=None) -> bytes:
         """Decode to record bytes in the pipeline's native layout."""
-        if self.metrics.timing_enabled:
-            return self._decode_native_timed(message)
+        timed = self.metrics.timing_enabled
+        if timed:
+            t0 = perf_counter()
         wire_fmt, payload = self.open_data(message, header=header)
         try:
+            if timed:
+                t1 = perf_counter()
             entry = self.entry_for(wire_fmt, self.native_for(wire_fmt))
+            if timed:
+                t2 = perf_counter()
             if entry.zero_copy:
                 self.metrics.inc("zero_copy_decodes")
-                return bytes(payload)
-            self.metrics.inc("converted_decodes")
-            return self._run_converter(entry, wire_fmt, payload)
+                out = bytes(payload)
+            else:
+                self.metrics.inc("converted_decodes")
+                out = self._run_converter(entry, wire_fmt, payload)
         except PbioError:
             self.metrics.inc("decode.rejected")
             raise
+        if timed:
+            self._observe_stages(t0, t1, t2)
+        return out
 
     def decode_view(self, message, *, header=None, lease=None) -> RecordView:
         """Decode to a :class:`RecordView`.
@@ -380,26 +389,35 @@ class DecodePipeline:
         lent receive buffer, an mmap'd file): the storage outlives every
         view because each view holds the lease alive.
         """
-        if self.metrics.timing_enabled:
-            return self._decode_view_timed(message)
+        timed = self.metrics.timing_enabled
+        if timed:
+            t0 = perf_counter()
         wire_fmt, payload = self.open_data(message, header=header)
         try:
+            if timed:
+                t1 = perf_counter()
             native = self.native_for(wire_fmt)
             entry = self.entry_for(wire_fmt, native)
             layout = self._layout_of(native)
+            if timed:
+                t2 = perf_counter()
             if entry.zero_copy:
                 self.metrics.inc("zero_copy_decodes")
-                return RecordView(layout, payload, lease=lease)
-            self.metrics.inc("converted_decodes")
-            if entry.supports_dst:
-                buf = self.pool.acquire(entry.native_size)
-                view = RecordView(layout, self._run_converter(entry, wire_fmt, payload, buf))
-                self.pool.attach(view, buf)
-                return view
-            return RecordView(layout, self._run_converter(entry, wire_fmt, payload))
+                view = RecordView(layout, payload, lease=lease)
+            else:
+                self.metrics.inc("converted_decodes")
+                if entry.supports_dst:
+                    buf = self.pool.acquire(entry.native_size)
+                    view = RecordView(layout, self._run_converter(entry, wire_fmt, payload, buf))
+                    self.pool.attach(view, buf)
+                else:
+                    view = RecordView(layout, self._run_converter(entry, wire_fmt, payload))
         except PbioError:
             self.metrics.inc("decode.rejected")
             raise
+        if timed:
+            self._observe_stages(t0, t1, t2)
+        return view
 
     def decode(self, message, *, header=None) -> dict[str, Any]:
         """Decode to a fully materialized value dict."""
@@ -774,58 +792,12 @@ class DecodePipeline:
 
     # -- internals ----------------------------------------------------------
 
-    def _decode_native_timed(self, message) -> bytes:
-        """decode_native with per-stage timings (metrics.timing_enabled)."""
-        t0 = perf_counter()
-        wire_fmt, payload = self.open_data(message)
-        try:
-            t1 = perf_counter()
-            entry = self.entry_for(wire_fmt, self.native_for(wire_fmt))
-            t2 = perf_counter()
-            if entry.zero_copy:
-                self.metrics.inc("zero_copy_decodes")
-                out = bytes(payload)
-            else:
-                self.metrics.inc("converted_decodes")
-                out = self._run_converter(entry, wire_fmt, payload)
-        except PbioError:
-            self.metrics.inc("decode.rejected")
-            raise
+    def _observe_stages(self, t0: float, t1: float, t2: float) -> None:
+        """Record one scalar decode's stage timings (``timing_enabled``)."""
         t3 = perf_counter()
         self.metrics.observe("decode.parse", t1 - t0)
         self.metrics.observe("decode.resolve", t2 - t1)
         self.metrics.observe("decode.convert", t3 - t2)
-        return out
-
-    def _decode_view_timed(self, message) -> RecordView:
-        """decode_view with per-stage timings (metrics.timing_enabled)."""
-        t0 = perf_counter()
-        wire_fmt, payload = self.open_data(message)
-        try:
-            t1 = perf_counter()
-            native = self.native_for(wire_fmt)
-            entry = self.entry_for(wire_fmt, native)
-            layout = self._layout_of(native)
-            t2 = perf_counter()
-            if entry.zero_copy:
-                self.metrics.inc("zero_copy_decodes")
-                view = RecordView(layout, payload)
-            else:
-                self.metrics.inc("converted_decodes")
-                if entry.supports_dst:
-                    buf = self.pool.acquire(entry.native_size)
-                    view = RecordView(layout, self._run_converter(entry, wire_fmt, payload, buf))
-                    self.pool.attach(view, buf)
-                else:
-                    view = RecordView(layout, self._run_converter(entry, wire_fmt, payload))
-        except PbioError:
-            self.metrics.inc("decode.rejected")
-            raise
-        t3 = perf_counter()
-        self.metrics.observe("decode.parse", t1 - t0)
-        self.metrics.observe("decode.resolve", t2 - t1)
-        self.metrics.observe("decode.convert", t3 - t2)
-        return view
 
     @staticmethod
     def _layout_of(native: IOFormat) -> StructLayout:

@@ -7,10 +7,11 @@ restarts, and negative entries keep a dead server from being asked the
 same unanswerable question on every message.
 
 The on-disk layer is an append-only log of v2 frames (the crash-safe
-framing from :mod:`repro.core.files`): ``u32 len | payload | u32 crc |
+frame log of :mod:`repro.core.framing`): ``u32 len | payload | u32 crc |
 u32 len-echo``, one ``write`` per entry.  A process killed mid-append
-tears at most the entry in flight; the loader stops cleanly at a torn
-tail and truncates it, so the file is self-healing across restarts.
+tears at most the entry in flight; the loader (``framing.open_log``)
+stops cleanly at a torn tail and truncates it, so the file is
+self-healing across restarts.
 Entry payloads are versioned records::
 
     u8 kind (1 = entry) | 20s fingerprint | u64 token (0 = none)
@@ -29,15 +30,15 @@ import time
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Iterator
 
-from repro.core.errors import FormatError, MessageError
-from repro.core.framing import iter_frames, pack_frame
+from repro.core.errors import FormatError
+from repro.core.framing import FileKind, open_log, pack_frame, pack_header
 from repro.core.formats import IOFormat
 from repro.core.runtime import Metrics
 from repro.core.safety import DEFAULT_LIMITS, DecodeLimits
 
 CACHE_MAGIC = b"PBIOFMTC"
 CACHE_VERSION = 1
-_CACHE_HEADER = struct.Struct(">8sHxx")  # magic, version, pad
+CACHE_KIND = FileKind(CACHE_MAGIC, {CACHE_VERSION: 2}, "format cache file", "format cache")
 _ENTRY_FIXED = struct.Struct(">B20sQdI")  # kind, fingerprint, token, stored_at, meta_len
 _KIND_ENTRY = 1
 
@@ -50,6 +51,14 @@ class CachedFormat:
     meta: bytes
     token: int | None
     stored_at: float
+
+
+def _entry_frame(entry: CachedFormat) -> bytes:
+    """One persisted entry, framed for the cache log."""
+    fixed = _ENTRY_FIXED.pack(
+        _KIND_ENTRY, entry.fingerprint, entry.token or 0, entry.stored_at, len(entry.meta)
+    )
+    return pack_frame(fixed + entry.meta)
 
 
 class FormatCache:
@@ -90,46 +99,18 @@ class FormatCache:
         self._negative: dict[bytes, float] = {}  # fingerprint -> expiry
         self._stream: BinaryIO | None = None
         if path is not None:
-            self._open(path)
+            max_size = limits.max_meta_size + 256 if limits is not None else None
+            self._stream, _version = open_log(
+                path,
+                CACHE_KIND,
+                max_size=max_size,
+                on_payload=self._load_entry,
+                on_damage=lambda verdict: self.metrics.inc(
+                    "fmtserv.cache_torn" if verdict == "torn" else "fmtserv.cache_corrupt"
+                ),
+            )
 
     # -- disk layer ----------------------------------------------------------
-
-    def _open(self, path: str) -> None:
-        if not os.path.exists(path):
-            stream = open(path, "w+b")
-            stream.write(_CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION))
-            stream.flush()
-            self._stream = stream
-            return
-        stream = open(path, "r+b")
-        try:
-            header = stream.read(_CACHE_HEADER.size)
-            if len(header) != _CACHE_HEADER.size:
-                raise MessageError("not a format cache file: truncated header")
-            magic, version = _CACHE_HEADER.unpack(header)
-            if magic != CACHE_MAGIC:
-                raise MessageError(f"not a format cache file: bad magic {magic!r}")
-            if version != CACHE_VERSION:
-                raise MessageError(f"unsupported format cache version {version}")
-            pos = stream.tell()
-
-            def damaged(what: str) -> None:
-                self.metrics.inc(
-                    "fmtserv.cache_torn" if what == "torn" else "fmtserv.cache_corrupt"
-                )
-
-            max_size = self.limits.max_meta_size + 256 if self.limits is not None else None
-            for payload in iter_frames(stream, max_size=max_size, on_damage=damaged):
-                self._load_entry(payload)
-                pos = stream.tell()
-            # Heal: drop any torn tail so future appends start at a clean
-            # frame boundary (damage before `pos` was already skipped).
-            stream.truncate(pos)
-            stream.seek(pos)
-        except Exception:
-            stream.close()
-            raise
-        self._stream = stream
 
     def _load_entry(self, payload: bytes) -> None:
         if len(payload) < _ENTRY_FIXED.size:
@@ -152,18 +133,8 @@ class FormatCache:
     def _persist(self, entry: CachedFormat) -> None:
         if self._stream is None:
             return
-        payload = (
-            _ENTRY_FIXED.pack(
-                _KIND_ENTRY,
-                entry.fingerprint,
-                entry.token or 0,
-                entry.stored_at,
-                len(entry.meta),
-            )
-            + entry.meta
-        )
         # Single write + flush: the torn-tail guarantee of the v2 framing.
-        self._stream.write(pack_frame(payload))
+        self._stream.write(_entry_frame(entry))
         self._stream.flush()
         self.metrics.inc("fmtserv.cache_persisted")
 
@@ -255,9 +226,6 @@ class FormatCache:
             return False
         return True
 
-    def clear_negative(self) -> None:
-        self._negative.clear()
-
     # -- maintenance ---------------------------------------------------------
 
     def purge(self, fingerprint: bytes | None = None) -> int:
@@ -284,19 +252,9 @@ class FormatCache:
         assert self.path is not None
         tmp_path = self.path + ".tmp"
         with open(tmp_path, "wb") as tmp:
-            tmp.write(_CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION))
+            tmp.write(pack_header(CACHE_KIND))
             for entry in self._entries.values():
-                payload = (
-                    _ENTRY_FIXED.pack(
-                        _KIND_ENTRY,
-                        entry.fingerprint,
-                        entry.token or 0,
-                        entry.stored_at,
-                        len(entry.meta),
-                    )
-                    + entry.meta
-                )
-                tmp.write(pack_frame(payload))
+                tmp.write(_entry_frame(entry))
             tmp.flush()
             os.fsync(tmp.fileno())
         if self._stream is not None:

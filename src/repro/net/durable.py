@@ -53,58 +53,40 @@ from typing import Any, BinaryIO, Callable
 from repro.core import encoder as enc
 from repro.core.context import FormatHandle, IOContext
 from repro.core.errors import MessageError, PbioError
-from repro.core.framing import iter_frames, pack_frame
+from repro.core.framing import FileKind, open_log, pack_frame, pack_header
 from repro.core.runtime import DurableStats, Metrics
 
 from .channel import ChannelPublisher, EventChannel, Subscription
 
-_FILE_HEADER = struct.Struct(">8sHxx")  # magic, version, pad
 WAL_MAGIC = b"PBIOWALS"
 CURSOR_MAGIC = b"PBIOCURS"
 WAL_VERSION = 1
+#: Segments and cursor files: v2 frames under a WAL-versioned header.
+WAL_KIND = FileKind(WAL_MAGIC, {WAL_VERSION: 2}, "wal file", "wal")
+CURSOR_KIND = FileKind(CURSOR_MAGIC, {WAL_VERSION: 2}, "wal file", "wal")
 _CURSOR_ENTRY = struct.Struct(">IIQ")  # context id, format id, cursor
 
 
-def _open_framed(
-    path: str, magic: bytes, *, metrics: Metrics, label: str
-) -> tuple[BinaryIO, list[bytes]]:
-    """Open (or create) one crash-safe framed file; return its payloads.
+def _count_damage(metrics: Metrics) -> Callable[[str], None]:
+    """``open_log`` damage callback: ``durable.wal_torn`` / ``durable.wal_corrupt``."""
+    return lambda verdict: metrics.inc(
+        "durable.wal_torn" if verdict == "torn" else "durable.wal_corrupt"
+    )
 
-    New files get the 12-byte header; existing ones are validated, their
-    intact frames loaded, and any torn tail truncated in place so the
-    next append starts at a clean frame boundary.  Damage is counted as
-    ``durable.<label>_torn`` / ``durable.<label>_corrupt``.
+
+def fold_cursor(cursors: dict[tuple[int, int], int], payload) -> bool:
+    """Fold one framed cursor entry into ``cursors``; False if ``payload``
+    is not a cursor entry.
+
+    Append-wins, but never regress: a stale late entry (from an
+    interleaved old writer) cannot move a cursor back.
     """
-    if not os.path.exists(path):
-        stream = open(path, "w+b")
-        stream.write(_FILE_HEADER.pack(magic, WAL_VERSION))
-        stream.flush()
-        return stream, []
-    stream = open(path, "r+b")
-    try:
-        header = stream.read(_FILE_HEADER.size)
-        if len(header) != _FILE_HEADER.size:
-            raise MessageError(f"not a {label} file: truncated header")
-        found, version = _FILE_HEADER.unpack(header)
-        if found != magic:
-            raise MessageError(f"not a {label} file: bad magic {found!r}")
-        if version != WAL_VERSION:
-            raise MessageError(f"unsupported {label} version {version}")
-
-        def damaged(what: str) -> None:
-            metrics.inc(f"durable.{label}_torn" if what == "torn" else f"durable.{label}_corrupt")
-
-        payloads: list[bytes] = []
-        pos = stream.tell()
-        for payload in iter_frames(stream, on_damage=damaged):
-            payloads.append(payload)
-            pos = stream.tell()
-        stream.truncate(pos)
-        stream.seek(pos)
-    except Exception:
-        stream.close()
-        raise
-    return stream, payloads
+    if len(payload) != _CURSOR_ENTRY.size:
+        return False
+    cid, fid, cursor = _CURSOR_ENTRY.unpack(payload)
+    if cursor > cursors.get((cid, fid), 0):
+        cursors[(cid, fid)] = cursor
+    return True
 
 
 class AckCursorStore:
@@ -125,8 +107,14 @@ class AckCursorStore:
         self._stream: BinaryIO | None = None
         self._appended = 0
         if path is not None:
-            stream, payloads = _open_framed(
-                path, CURSOR_MAGIC, metrics=self.metrics, label="wal"
+
+            def load(payload) -> None:
+                self._appended += 1
+                if not fold_cursor(self._cursors, payload):
+                    self.metrics.inc("durable.wal_corrupt")
+
+            stream, _version = open_log(
+                path, CURSOR_KIND, on_payload=load, on_damage=_count_damage(self.metrics)
             )
             # Reopen unbuffered: every advance is one tiny framed append,
             # and a raw write is both cheaper than write+flush through a
@@ -135,17 +123,6 @@ class AckCursorStore:
             stream.close()
             self._stream = open(path, "r+b", buffering=0)
             self._stream.seek(0, os.SEEK_END)
-            for payload in payloads:
-                if len(payload) != _CURSOR_ENTRY.size:
-                    self.metrics.inc("durable.wal_corrupt")
-                    continue
-                cid, fid, cursor = _CURSOR_ENTRY.unpack(payload)
-                # Append-wins, but never regress: a stale late entry
-                # (from an interleaved old writer) cannot move us back.
-                key = (cid, fid)
-                if cursor > self._cursors.get(key, 0):
-                    self._cursors[key] = cursor
-            self._appended = len(payloads)
 
     def cursor(self, key: tuple[int, int]) -> int:
         """Highest contiguously-confirmed sequence for ``key`` (0 = none)."""
@@ -179,7 +156,7 @@ class AckCursorStore:
         assert self.path is not None and self._stream is not None
         tmp_path = self.path + ".tmp"
         with open(tmp_path, "wb") as tmp:
-            tmp.write(_FILE_HEADER.pack(CURSOR_MAGIC, WAL_VERSION))
+            tmp.write(pack_header(CURSOR_KIND))
             for (cid, fid), cursor in self._cursors.items():
                 tmp.write(pack_frame(_CURSOR_ENTRY.pack(cid, fid, cursor)))
         self._stream.close()
@@ -200,30 +177,42 @@ class AckCursorStore:
         self.close()
 
 
-def split_wal_frame(payload: bytes) -> list[bytes]:
-    """Split one WAL frame payload into the wire messages it carries.
+def parse_wal_frame(
+    payload,
+) -> tuple[list[tuple[tuple[int, int], int | None, bytes]], int]:
+    """The journal entries one WAL frame carries, and how many are damaged.
 
     A frame holds either a single message (announcements, scalar
     appends) or a whole burst concatenated back to back — one coalesced
     journal write per :meth:`PublisherWAL.append_batch`, one CRC over
     the lot.  PBIO headers carry their payload length, so the messages
-    self-delimit; anything that does not parse cleanly to the frame's
-    exact end is damage.
+    self-delimit; a frame that does not split cleanly to its exact end
+    is one damaged entry, and so is each message that is neither an
+    announcement nor a well-formed ``MSG_DATA_SEQ``.
+
+    Each entry is ``(stream key, seq, message)``; announcements have
+    ``seq=None``.
     """
     view = memoryview(payload)
-    total = len(payload)
-    offset = 0
-    messages: list[bytes] = []
-    while offset < total:
+    entries: list[tuple[tuple[int, int], int | None, bytes]] = []
+    damaged = offset = 0
+    while offset < len(view):
         header = enc.try_unpack_header(view[offset:])
-        if header is None:
-            raise MessageError(f"unparseable embedded message at offset {offset}")
+        if header is None or offset + enc.HEADER_SIZE + header[3] > len(view):
+            return [], 1
         end = offset + enc.HEADER_SIZE + header[3]
-        if end > total:
-            raise MessageError(f"embedded message overruns frame at offset {offset}")
-        messages.append(bytes(view[offset:end]))
+        message = bytes(view[offset:end])
         offset = end
-    return messages
+        if header[0] in (enc.MSG_FORMAT, enc.MSG_FORMAT_TOKEN):
+            entries.append(((header[1], header[2]), None, message))
+            continue
+        try:
+            cid, fid, seq, _record = enc.parse_data_seq(message)
+        except PbioError:
+            damaged += 1
+            continue
+        entries.append(((cid, fid), seq, message))
+    return entries, damaged
 
 
 class PublisherWAL:
@@ -301,35 +290,26 @@ class PublisherWAL:
     # -- disk layer ----------------------------------------------------------
 
     def _load_segment(self, path: str) -> None:
-        stream, payloads = _open_framed(path, WAL_MAGIC, metrics=self.metrics, label="wal")
-        stream.close()
         digest: dict[tuple[int, int], int] = {}
-        for payload in payloads:
-            try:
-                messages = split_wal_frame(payload)
-            except MessageError:
-                self.metrics.inc("durable.wal_corrupt")
-                continue
-            for message in messages:
-                header = enc.try_unpack_header(message)
-                if header is None:
-                    self.metrics.inc("durable.wal_corrupt")
-                    continue
-                if header[0] in (enc.MSG_FORMAT, enc.MSG_FORMAT_TOKEN):
-                    key = (header[1], header[2])
+
+        def load(payload) -> None:
+            entries, damaged = parse_wal_frame(payload)
+            if damaged:
+                self.metrics.inc("durable.wal_corrupt", damaged)
+            for key, seq, message in entries:
+                if seq is None:
                     self._announcements[key] = message
                     continue
-                try:
-                    cid, fid, seq, _record = enc.parse_data_seq(message)
-                except PbioError:
-                    self.metrics.inc("durable.wal_corrupt")
-                    continue
-                key = (cid, fid)
                 digest[key] = max(seq, digest.get(key, 0))
                 if seq >= self._next_seq.get(key, 1):
                     self._next_seq[key] = seq + 1
                 if seq > self.acked.cursor(key):
                     self._unacked.setdefault(key, OrderedDict())[seq] = message
+
+        stream, _version = open_log(
+            path, WAL_KIND, on_payload=load, on_damage=_count_damage(self.metrics)
+        )
+        stream.close()
         self._segments.append((path, digest))
 
     def _open_segment(self) -> None:
@@ -337,9 +317,10 @@ class PublisherWAL:
         self._segment_index += 1
         path = os.path.join(self.directory, f"wal-{self._segment_index:08d}.seg")
         stream = open(path, "w+b", buffering=0)
-        stream.write(_FILE_HEADER.pack(WAL_MAGIC, WAL_VERSION))
+        header = pack_header(WAL_KIND)
+        stream.write(header)
         self._stream = stream
-        self._stream_bytes = _FILE_HEADER.size
+        self._stream_bytes = len(header)
         self._segments.append((path, {}))
         # Self-contained segments: the live announcements travel into the
         # new file, so a compaction of older segments never strands the
@@ -422,7 +403,7 @@ class PublisherWAL:
                 self._stream.close()
                 self._open_segment()
                 self.metrics.inc("durable.segments_rotated")
-            # One frame for the whole burst (see split_wal_frame): one
+            # One frame for the whole burst (see parse_wal_frame): one
             # CRC, one length check, one write.
             frame = pack_frame(b"".join(m for _, _, m in parsed))
             self._stream.write(frame)
@@ -628,10 +609,6 @@ class SequenceWindow:
                 bits |= 1 << i
         return (base, bits) if bits else None
 
-    def pending_count(self, key: tuple[int, int] | None = None) -> int:
-        if key is not None:
-            return len(self._pending.get(key, ()))
-        return sum(len(p) for p in self._pending.values())
 
 
 class DurablePublisher:
@@ -954,9 +931,6 @@ class DurableSubscription(Subscription):
             # A lost ack only delays compaction; the next delivery (or a
             # retransmit-triggered re-ack) carries the same cursor again.
             self.metrics.inc("durable.ack_send_errors")
-
-    def ack_cursor(self, key: tuple[int, int]) -> int:
-        return self.window.cursor(key)
 
     def close(self) -> None:
         if self in self.channel._subscribers:

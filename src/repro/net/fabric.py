@@ -592,10 +592,6 @@ class RelayWorker:
     def queue_depth(self) -> int:
         return sum(f.queue_depth for f in self._fanouts.values())
 
-    @property
-    def channel_keys(self) -> list[tuple[int, int]]:
-        return sorted(self._fanouts)
-
     def channels(self) -> dict[tuple[int, int], dict]:
         """Per-channel ``{"subscribers", "queue_depth", "depth"}``."""
         return {
@@ -972,15 +968,6 @@ class FabricDispatcher:
     def _evict(self, slot: _WorkerSlot) -> None:
         slot.state = EVICTED
         self.metrics.inc("fabric.workers_evicted")
-
-    def reactivate_worker(self, name: str) -> None:
-        """Operator override: bring a quarantined worker back by hand
-        (the probe machinery does this automatically with a policy)."""
-        slot = self._slots.get(name)
-        if slot is None:
-            raise FabricError(f"no worker named {name!r}")
-        if slot.state in (QUARANTINED, EVICTED) and slot.worker.alive:
-            self._reactivate(slot)
 
     def heal(self, now: float | None = None) -> None:
         """One step of the fabric state machine: detect dead workers,

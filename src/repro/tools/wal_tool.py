@@ -14,13 +14,15 @@ A WAL directory (:class:`repro.net.durable.PublisherWAL`) holds numbered
 ``wal-<n>.seg`` segment files of v2-framed wire messages plus an
 ``acked.cursors`` file of framed cursor entries.  Both use the same
 ``u32 len | payload | crc32 | len-echo`` frame discipline as PBIO record
-files, so this tool shares the fsck frame walker
+files, so this tool shares the fsck frame scan
 (:func:`repro.tools.fsck_tool.scan_region`) — one damage taxonomy
 (``ok`` / ``corrupt`` / ``torn`` / ``framing``), one resync strategy —
-and adds a payload layer on top: frames whose bytes are intact but do
-not parse as a WAL-legal message (``MSG_DATA_SEQ``, ``MSG_FORMAT``,
-``MSG_FORMAT_TOKEN``, or a cursor entry) are reported as ``payload``
-damage.
+and parses intact payloads with the very functions
+:class:`~repro.net.durable.PublisherWAL` and
+:class:`~repro.net.durable.AckCursorStore` run at recovery: frames whose
+bytes are intact but do not parse as a WAL-legal message
+(``MSG_DATA_SEQ``, ``MSG_FORMAT``, ``MSG_FORMAT_TOKEN``, or a cursor
+entry) are reported as ``payload`` damage.
 """
 
 from __future__ import annotations
@@ -29,19 +31,16 @@ import argparse
 import dataclasses
 import os
 import sys
+from collections import Counter
 
-from repro.core import encoder as enc
-from repro.core.errors import PbioError
-from repro.core.framing import MSG_LEN, V2_TRAILER
 from repro.core.errors import MessageError
+from repro.core.framing import FILE_HEADER, FileKind, check_header
 from repro.net.durable import (
-    _CURSOR_ENTRY,
-    _FILE_HEADER,
-    CURSOR_MAGIC,
-    WAL_MAGIC,
-    WAL_VERSION,
+    CURSOR_KIND,
+    WAL_KIND,
     PublisherWAL,
-    split_wal_frame,
+    fold_cursor,
+    parse_wal_frame,
 )
 
 from .fsck_tool import FrameReport, scan_region
@@ -55,39 +54,34 @@ class NotWalFile(ValueError):
 
 @dataclasses.dataclass
 class FileScan:
-    """One scanned WAL file: its frames plus the decoded payloads."""
+    """One scanned WAL file: its frames and their payload damage."""
 
     path: str
     file_size: int
     frames: list[FrameReport]
-    #: (frame, payload bytes) for every structurally intact frame
-    payloads: list[tuple[FrameReport, bytes]]
     #: intact frames whose payload is not a WAL-legal message
     payload_damage: int = 0
+
+    @property
+    def payloads(self) -> list:
+        """The payload of every structurally intact frame, in file order."""
+        return [f.payload for f in self.frames if f.verdict == "ok"]
 
     @property
     def damaged(self) -> int:
         return sum(1 for f in self.frames if f.verdict != "ok") + self.payload_damage
 
 
-def scan_wal_file(path: str, magic: bytes) -> FileScan:
+def scan_wal_file(path: str, kind: FileKind) -> FileScan:
     """Scan one WAL segment or cursor file with the fsck frame walker."""
     with open(path, "rb") as stream:
         data = stream.read()
-    if len(data) < _FILE_HEADER.size:
-        raise NotWalFile(f"{path}: truncated file header")
-    found, version = _FILE_HEADER.unpack_from(data, 0)
-    if found != magic:
-        raise NotWalFile(f"{path}: bad magic {found!r}")
-    if version != WAL_VERSION:
-        raise NotWalFile(f"{path}: unsupported WAL version {version}")
-    frames = scan_region(data, _FILE_HEADER.size, 2)
-    payloads = [
-        (f, data[f.offset + MSG_LEN.size : f.end - V2_TRAILER.size])
-        for f in frames
-        if f.verdict == "ok"
-    ]
-    return FileScan(path=path, file_size=len(data), frames=frames, payloads=payloads)
+    try:
+        version = check_header(data, kind)
+    except MessageError as exc:
+        raise NotWalFile(f"{path}: {exc}") from None
+    frames = scan_region(data, FILE_HEADER.size, kind.versions[version])
+    return FileScan(path=path, file_size=len(data), frames=frames)
 
 
 def segment_paths(directory: str) -> list[str]:
@@ -101,36 +95,20 @@ def segment_paths(directory: str) -> list[str]:
 def scan_segment(path: str) -> tuple[FileScan, dict]:
     """Scan one segment; returns the scan plus a per-stream digest:
     ``{key: {"count", "lo", "hi", "announced"}}``."""
-    scan = scan_wal_file(path, WAL_MAGIC)
+    scan = scan_wal_file(path, WAL_KIND)
     streams: dict[tuple[int, int], dict] = {}
-    for _frame, payload in scan.payloads:
-        # One frame carries one message or a whole journaled burst;
-        # the embedded headers self-delimit (split_wal_frame).
-        try:
-            messages = split_wal_frame(payload)
-        except MessageError:
-            scan.payload_damage += 1
-            continue
-        for message in messages:
-            header = enc.try_unpack_header(message)
-            if header is None:
-                scan.payload_damage += 1
-                continue
-            if header[0] in (enc.MSG_FORMAT, enc.MSG_FORMAT_TOKEN):
-                key = (header[1], header[2])
-                streams.setdefault(
-                    key, {"count": 0, "lo": 0, "hi": 0, "announced": False}
-                )
-                streams[key]["announced"] = True
-                continue
-            try:
-                cid, fid, seq, _record = enc.parse_data_seq(message)
-            except PbioError:
-                scan.payload_damage += 1
-                continue
+    for payload in scan.payloads:
+        # One frame carries one message or a whole journaled burst:
+        # parsed exactly as PublisherWAL parses it at recovery.
+        entries, damaged = parse_wal_frame(payload)
+        scan.payload_damage += damaged
+        for key, seq, _message in entries:
             digest = streams.setdefault(
-                (cid, fid), {"count": 0, "lo": 0, "hi": 0, "announced": False}
+                key, {"count": 0, "lo": 0, "hi": 0, "announced": False}
             )
+            if seq is None:
+                digest["announced"] = True
+                continue
             digest["count"] += 1
             digest["lo"] = seq if not digest["lo"] else min(digest["lo"], seq)
             digest["hi"] = max(digest["hi"], seq)
@@ -141,15 +119,11 @@ def scan_cursors(path: str) -> tuple[FileScan, dict[tuple[int, int], int]]:
     """Scan the cursor file; returns the scan plus the effective cursors
     (append-wins, never-regress — the same read :class:`AckCursorStore`
     performs)."""
-    scan = scan_wal_file(path, CURSOR_MAGIC)
+    scan = scan_wal_file(path, CURSOR_KIND)
     cursors: dict[tuple[int, int], int] = {}
-    for _frame, payload in scan.payloads:
-        if len(payload) != _CURSOR_ENTRY.size:
+    for payload in scan.payloads:
+        if not fold_cursor(cursors, payload):
             scan.payload_damage += 1
-            continue
-        cid, fid, cursor = _CURSOR_ENTRY.unpack(payload)
-        if cursor > cursors.get((cid, fid), 0):
-            cursors[(cid, fid)] = cursor
     return scan, cursors
 
 
@@ -197,19 +171,14 @@ def cmd_verify(directory: str, quiet: bool) -> int:
     paths = []
     cursor_path = os.path.join(directory, CURSOR_FILE)
     if os.path.exists(cursor_path):
-        paths.append((cursor_path, CURSOR_MAGIC))
-    paths.extend((p, WAL_MAGIC) for p in segment_paths(directory))
+        paths.append((cursor_path, scan_cursors))
+    paths.extend((p, scan_segment) for p in segment_paths(directory))
     if not paths:
         print(f"{directory}: no WAL files", file=sys.stderr)
         return 2
-    for path, magic in paths:
-        if magic is CURSOR_MAGIC:
-            scan, _cursors = scan_cursors(path)
-        else:
-            scan, _streams = scan_segment(path)
-        counts = {"ok": 0, "corrupt": 0, "torn": 0, "framing": 0}
-        for frame in scan.frames:
-            counts[frame.verdict] += 1
+    for path, scan_file in paths:
+        scan, _digest = scan_file(path)
+        counts = Counter(frame.verdict for frame in scan.frames)
         damage += scan.damaged
         if not quiet or scan.damaged:
             print(

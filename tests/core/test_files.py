@@ -12,6 +12,7 @@ from repro.core.files import (
     PbioFileWriter,
     file_to_buffer,
 )
+from repro.tools import fsck_tool
 from repro.workloads.generators import record_stream
 
 
@@ -216,6 +217,48 @@ class TestCrashSafety:
             writer.write(ctx2.register_format(SIMPLE), self.RECORDS[1])
         out = read_records(IOContext(X86), path, SIMPLE)
         assert [r["i"] for r in out] == [0, 1]
+
+    def test_append_after_crash_heals_the_torn_tail(self, tmp_path):
+        """Crash mid-append, then append: the torn tail is truncated
+        first, so the new record and its announcement are not stranded
+        behind it."""
+        path = tmp_path / "crashed.pbio"
+        ctx = IOContext(X86)
+        with PbioFileWriter.open(ctx, str(path)) as writer:
+            handle = ctx.register_format(SIMPLE)
+            for record in self.RECORDS[:3]:
+                writer.write(handle, record)
+        path.write_bytes(path.read_bytes()[:-5])  # record 2 torn mid-frame
+        ctx2 = IOContext(X86)
+        with PbioFileWriter.append(ctx2, str(path)) as writer:
+            writer.write(ctx2.register_format(SIMPLE), self.RECORDS[3])
+        blob = path.read_bytes()
+        rctx, reader = self.reader_for(blob, recover="skip")
+        assert [r["i"] for r in reader] == [0, 1, 3]
+        assert rctx.metrics.value("file.torn_tails") == 0
+        _, strict = self.reader_for(blob)
+        assert [r["i"] for r in strict] == [0, 1, 3]
+        assert [f.verdict for f in fsck_tool.scan_bytes(blob).frames] == ["ok"] * 5
+
+    @pytest.mark.parametrize("damage", ["misaligned", "oversize"])
+    def test_append_refuses_untrustworthy_framing_mid_file(self, tmp_path, damage):
+        import struct as _struct
+
+        blob = bytearray(file_to_buffer(IOContext(X86), SIMPLE, self.RECORDS))
+        second_record = self.frame_boundaries(blob)[2]
+        if damage == "oversize":
+            _struct.pack_into(">I", blob, second_record, 0x7FFFFFFF)
+        else:
+            blob[second_record + 3] ^= 0x01  # length and echo now disagree
+        path = tmp_path / "damaged.pbio"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(MessageError, match="pbio-fsck --repair"):
+            PbioFileWriter.append(IOContext(X86), str(path))
+        assert path.read_bytes() == bytes(blob)  # nothing truncated
+
+    def test_append_to_missing_file_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            PbioFileWriter.append(IOContext(X86), str(tmp_path / "absent.pbio"))
 
     def test_bogus_length_prefix_cannot_demand_gigabytes(self):
         import struct as _struct

@@ -166,6 +166,29 @@ class TestMetrics:
         assert set(timings) == {"decode.parse", "decode.resolve", "decode.convert"}
         assert all(t.count == 1 for t in timings.values())
 
+    @pytest.mark.parametrize("timing", [False, True])
+    def test_timing_never_changes_the_scalar_decode(self, timing, monkeypatch):
+        """Stage timing lives inside the one scalar path: a timed decode
+        keeps the caller's lease and reuses the caller's parsed header."""
+        from repro.core.runtime import pipeline as pipeline_mod
+        from repro.core.runtime.pool import Lease
+
+        _, receiver, message = make_pair(X86, X86)
+        receiver.metrics.timing_enabled = timing
+        lease = Lease(lambda: None)
+        assert receiver.pipeline.decode_view(message, lease=lease).lease is lease
+        header = enc.unpack_header(message)
+
+        def no_reparse(_message):
+            raise AssertionError("header parsed twice")
+
+        monkeypatch.setattr(pipeline_mod.enc, "unpack_header", no_reparse)
+        view = receiver.pipeline.decode_view(message, header=header, lease=lease)
+        assert view.lease is lease
+        assert receiver.pipeline.decode_native(message, header=header) == bytes(view.raw_bytes())
+        if timing:
+            assert receiver.metrics.timings()["decode.parse"].count == 3
+
     def test_snapshot_and_merge(self):
         a, b = Metrics(timing_enabled=True), Metrics(timing_enabled=True)
         a.inc("delivered")

@@ -408,7 +408,7 @@ class TestBatchPath:
         channel = EventChannel()
         pub, handle = make_publisher(channel, wal_dir)
         # No subscriber: the whole burst is lost in flight, and the
-        # journal holds it as one container frame (split_wal_frame).
+        # journal holds it as one container frame (parse_wal_frame).
         pub.publish_batch(handle, [{"x": i, "y": 0.0} for i in range(6)])
         assert pub.unacked_count == 6
         channel.remove_ack_listener(pub._on_ack)

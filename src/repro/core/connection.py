@@ -82,17 +82,6 @@ class PbioConnection:
 
     # -- receiving ------------------------------------------------------------
 
-    def recv_message(self) -> bytes:
-        """Receive the next *data* message, absorbing announcements.
-
-        Token announcements that cannot be resolved locally trigger the
-        inline-recovery protocol transparently; messages of a format
-        whose meta is still in flight are held and returned (in order)
-        once it arrives.
-        """
-        message, _ = self._recv_parsed()
-        return message
-
     def _recv_parsed(self) -> tuple[bytes, tuple | None]:
         """Next data message plus its already-parsed header (when the
         steady-state fast path produced one — threading it into the

@@ -46,7 +46,7 @@ def link_key(transport) -> tuple[int, int]:
     object, fresh link after each re-dial).  Announcement state keyed by
     anything less survives a reconnect it should not.
     """
-    return (transport_token(transport), getattr(transport, "generation", 0))
+    return (transport_token(transport), transport.generation)
 
 
 class Announcer:
@@ -81,7 +81,7 @@ class Announcer:
         wire (batch senders splice them ahead of the data frames so the
         whole burst is one vectored send).
         """
-        gen = getattr(transport, "generation", 0)
+        gen = transport.generation
         memo = self._link_memo
         if memo is not None and memo[0] is transport and memo[1] == gen:
             prefix = memo[2]
@@ -233,12 +233,10 @@ class InboundNegotiator:
         """Drain frames available *right now* (non-blocking transports).
 
         Lets a sender opportunistically answer meta requests between its
-        own sends; transports without a ``pending()`` probe are skipped.
+        own sends; transports whose ``pending()`` cannot tell (0) are
+        skipped.
         """
-        pending = getattr(transport, "pending", None)
-        if pending is None:
-            return
-        while pending():
+        while transport.pending():
             self.offer(transport.recv())
 
     # -- internals -----------------------------------------------------------

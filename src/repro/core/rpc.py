@@ -146,7 +146,28 @@ def _parse_call_header(data: bytes) -> tuple[int, bool, bool, str, bytes]:
     return request_id, bool(flags & _REPLY_FLAG), bool(flags & _FAULT_FLAG), operation, key
 
 
-class RpcClient:
+class _LinkNegotiators:
+    """Per-link inbound negotiators, the part RPC client and server share
+    (each sets ``ctx``, ``_negotiators`` and ``_neg_memo``)."""
+
+    def _neg(self, transport: Transport) -> InboundNegotiator:
+        """The inbound negotiator for the current incarnation of a link."""
+        gen = transport.generation
+        memo = self._neg_memo
+        if memo is not None and memo[0] is transport and memo[1] == gen:
+            return memo[2]
+        key = link_key(transport)
+        neg = self._negotiators.get(key)
+        if neg is None:
+            neg = InboundNegotiator(self.ctx, transport.send)
+            self._negotiators[key] = neg
+            while len(self._negotiators) > 16:  # dead incarnations, oldest first
+                del self._negotiators[next(iter(self._negotiators))]
+        self._neg_memo = (transport, gen, neg)
+        return neg
+
+
+class RpcClient(_LinkNegotiators):
     """Client stubs: one PBIO context, per-operation format handles."""
 
     def __init__(
@@ -241,22 +262,6 @@ class RpcClient:
 
     # -- wire helpers --------------------------------------------------------
 
-    def _neg(self, transport: Transport) -> InboundNegotiator:
-        """The inbound negotiator for the current incarnation of a link."""
-        gen = getattr(transport, "generation", 0)
-        memo = self._neg_memo
-        if memo is not None and memo[0] is transport and memo[1] == gen:
-            return memo[2]
-        key = link_key(transport)
-        neg = self._negotiators.get(key)
-        if neg is None:
-            neg = InboundNegotiator(self.ctx, transport.send)
-            self._negotiators[key] = neg
-            while len(self._negotiators) > 16:  # dead incarnations, oldest first
-                del self._negotiators[next(iter(self._negotiators))]
-        self._neg_memo = (transport, gen, neg)
-        return neg
-
     def _recv_frame(self, transport: Transport) -> bytes:
         """The next caller-visible frame: announcements (inline and
         token), meta requests and held messages are handled in the
@@ -316,7 +321,7 @@ class RpcClient:
             self.ctx.receive(body)
 
 
-class RpcServer:
+class RpcServer(_LinkNegotiators):
     """Server side: servant registry + request dispatch over a transport.
 
     ``dedup_window`` caches the reply frames of the last N request ids
@@ -395,21 +400,6 @@ class RpcServer:
         for name in operations:
             self.interface[name]  # validate
         self._servants[object_key] = dict(operations)
-
-    def _neg(self, transport: Transport) -> InboundNegotiator:
-        gen = getattr(transport, "generation", 0)
-        memo = self._neg_memo
-        if memo is not None and memo[0] is transport and memo[1] == gen:
-            return memo[2]
-        key = link_key(transport)
-        neg = self._negotiators.get(key)
-        if neg is None:
-            neg = InboundNegotiator(self.ctx, transport.send)
-            self._negotiators[key] = neg
-            while len(self._negotiators) > 16:
-                del self._negotiators[next(iter(self._negotiators))]
-        self._neg_memo = (transport, gen, neg)
-        return neg
 
     def serve_one(self, transport: Transport) -> None:
         """Handle exactly one call (absorbing any format announcements).

@@ -61,6 +61,7 @@ from .transport import (
     MAX_FRAME,
     FrameBuffer,
     PeerClosedError,
+    Transport,
     TransportError,
     TransportTimeout,
     WriteQueueFull,
@@ -93,7 +94,7 @@ def _pin(payload) -> bytes:
     return payload if type(payload) is bytes else bytes(payload)
 
 
-class AsyncSocketTransport:
+class AsyncSocketTransport(Transport):
     """Length-prefix framed messages over a non-blocking TCP socket.
 
     The async counterpart of :class:`~repro.net.sockets.SocketTransport`:
@@ -106,7 +107,7 @@ class AsyncSocketTransport:
     Must be constructed inside a running event loop (the
     :class:`AsyncServer` accept loop does this for every connection).
     ``send``/``send_many``/``send_segments`` are synchronous enqueues;
-    ``recv``/``recv_many``/``drain`` are coroutines.
+    ``recv``/``recv_many``/``recv_many_leased``/``drain`` are coroutines.
     """
 
     def __init__(
@@ -462,22 +463,30 @@ class AsyncSocketTransport:
         self._rbuffered -= len(data)
         return data
 
+    def _take_ready(self) -> bytes | None:
+        """One parsed frame, or ``None`` when the link is merely idle;
+        raises once the link has failed, ended or been closed."""
+        if self._frames:
+            data = self._pop_frame()
+            if not self._reading and self._rbuffered <= self.max_read_buffer // 2:
+                self._resume_reading()
+            return data
+        if self._rexc is not None:
+            raise self._rexc
+        if self._reof:
+            if self._framer.pending:
+                raise TransportError("connection closed mid-frame")
+            raise PeerClosedError("peer closed the connection")
+        if self._closing:
+            raise TransportError("recv on closed transport")
+        self._resume_reading()
+        return None
+
     async def _next_frame(self) -> bytes:
         while True:
-            if self._frames:
-                data = self._pop_frame()
-                if not self._reading and self._rbuffered <= self.max_read_buffer // 2:
-                    self._resume_reading()
+            data = self._take_ready()
+            if data is not None:
                 return data
-            if self._rexc is not None:
-                raise self._rexc
-            if self._reof:
-                if self._framer.pending:
-                    raise TransportError("connection closed mid-frame")
-                raise PeerClosedError("peer closed the connection")
-            if self._closing:
-                raise TransportError("recv on closed transport")
-            self._resume_reading()
             fut = self._loop.create_future()
             self._rpending = fut
             try:
@@ -503,21 +512,7 @@ class AsyncSocketTransport:
         health plane calls this from handlers to harvest pongs between
         awaits without committing the coroutine to a blocking ``recv``.
         """
-        if self._frames:
-            data = self._pop_frame()
-            if not self._reading and self._rbuffered <= self.max_read_buffer // 2:
-                self._resume_reading()
-            return data
-        if self._rexc is not None:
-            raise self._rexc
-        if self._reof:
-            if self._framer.pending:
-                raise TransportError("connection closed mid-frame")
-            raise PeerClosedError("peer closed the connection")
-        if self._closing:
-            raise TransportError("recv on closed transport")
-        self._resume_reading()
-        return None
+        return self._take_ready()
 
     async def recv_many(self, max_frames: int = 0) -> list[bytes]:
         """One awaited frame plus every further complete frame the pump
@@ -536,6 +531,11 @@ class AsyncSocketTransport:
         if not self._reading and self._rbuffered <= self.max_read_buffer // 2:
             self._resume_reading()
         return out
+
+    async def recv_many_leased(self, max_frames: int = 0):
+        """:meth:`recv_many` with the base's ``(frames, None)`` shape:
+        frames are copied out of the framer, so no lease is needed."""
+        return await self.recv_many(max_frames), None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -556,12 +556,6 @@ class AsyncSocketTransport:
             pass
         self._sock.close()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
 
 def _writable(loop: asyncio.AbstractEventLoop, sock: socket.socket):
     """A future resolving when ``sock`` is writable again."""
@@ -576,15 +570,6 @@ def _writable(loop: asyncio.AbstractEventLoop, sock: socket.socket):
     loop.add_writer(fd, on_writable)
     fut.add_done_callback(lambda _f: loop.remove_writer(fd))
     return fut
-
-
-async def drain(transport) -> None:
-    """``await transport.drain()`` for any transport: a no-op on
-    transports without a write queue (sync sockets, pipes, wrappers that
-    do not delegate)."""
-    drain_fn = getattr(transport, "drain", None)
-    if drain_fn is not None:
-        await drain_fn()
 
 
 class AsyncServer:
@@ -780,7 +765,7 @@ class AsyncServer:
             send_goodbye(transport)
         if transports:
             flush = asyncio.gather(
-                *(drain(t) for t in transports), return_exceptions=True
+                *(t.drain() for t in transports), return_exceptions=True
             )
             try:
                 await asyncio.wait_for(flush, deadline_s)

@@ -58,8 +58,8 @@ from repro.core import encoder as enc
 from repro.core.errors import PbioError
 from repro.core.runtime import ConverterCache, Metrics
 from repro.core.safety import DEFAULT_LIMITS, DecodeLimits
-from repro.net.health import ProbePolicy
-from repro.net.relay import ACTIVE, EVICTED, QUARANTINED, Downstream, Relay
+from repro.net.health import ACTIVE, EVICTED, PROBING, PeerLifecycle, ProbePolicy
+from repro.net.relay import Downstream, Relay
 from repro.net.transport import PeerUnresponsive, Transport, TransportError
 
 #: Virtual nodes per worker.  512 keeps every worker's owned share of
@@ -218,11 +218,11 @@ class _InteriorLink(Transport):
         """The child relay's ``ack_upstream`` sink."""
         self._backchannel.append(frame)
 
-    def send(self, message) -> None:
-        if len(message) >= enc.HEADER_SIZE and message[0] == enc.MAGIC \
-                and message[2] == enc.MSG_PING:
+    def send(self, payload) -> None:
+        if len(payload) >= enc.HEADER_SIZE and payload[0] == enc.MAGIC \
+                and payload[2] == enc.MSG_PING:
             try:
-                nonce, _depth = enc.parse_ping(bytes(message))
+                nonce, _depth = enc.parse_ping(bytes(payload))
             except PbioError:
                 return
             if nonce != enc.GOODBYE_NONCE:
@@ -232,11 +232,11 @@ class _InteriorLink(Transport):
         # verbatim and copies only what it retains — announcements and
         # replay windows); borrowed views are materialized once here so
         # nothing downstream can outlive a receive-buffer lease.
-        self.relay.forward(message if isinstance(message, bytes) else bytes(message))
+        self.relay.forward(payload if isinstance(payload, bytes) else bytes(payload))
 
-    def send_many(self, messages) -> None:
+    def send_many(self, frames) -> None:
         self.relay.forward_batch(
-            [m if isinstance(m, bytes) else bytes(m) for m in messages]
+            [m if isinstance(m, bytes) else bytes(m) for m in frames]
         )
 
     def recv(self) -> bytes:
@@ -604,19 +604,6 @@ class RelayWorker:
         }
 
 
-class _WorkerSlot:
-    """The dispatcher's per-worker health record (the same state machine
-    a relay keeps per downstream, lifted one level up)."""
-
-    def __init__(self, worker: RelayWorker):
-        self.worker = worker
-        self.state = ACTIVE
-        self.consecutive_errors = 0
-        self.quarantined_at: float | None = None
-        self.probe_attempts = 0
-        self.next_probe_at: float | None = None
-
-
 class FabricDispatcher:
     """The fabric front: header-sniff routing over a worker ring.
 
@@ -635,15 +622,17 @@ class FabricDispatcher:
     * pings/pongs/requests/forward-path acks are dropped with counters,
       as a relay drops them.
 
-    Worker failure follows the health plane's shape: consecutive ingest
+    Worker failure runs the same :class:`~repro.net.health.PeerLifecycle`
+    a relay keeps per downstream, one per worker: consecutive ingest
     errors quarantine the worker, quarantine removes it from the ring
     and triggers :meth:`_rebalance` (channels re-owned, subscribers
-    re-placed with announcement replay), a
+    re-placed with announcement replay), the
     :class:`~repro.net.health.ProbePolicy` schedules liveness probes
     with exponential backoff, a worker alive again is reactivated (ring
-    re-add, backlog replay, rebalance back) and one silent past the
-    eviction deadline is evicted for good.  Call :meth:`heal`
-    periodically — once per pump burst is enough.
+    re-add, backlog replay, rebalance back), one that is still down
+    reports ``probing``, and one silent past the eviction deadline is
+    evicted for good.  Call :meth:`heal` periodically — once per pump
+    burst is enough.
 
     Durable delivery aggregates per shard: each worker forwards its
     root relays' min-cursor acks into the dispatcher, which never
@@ -678,7 +667,9 @@ class FabricDispatcher:
         self._clock = clock
         self.ack_upstream = ack_upstream
         self.metrics = Metrics()
-        self._slots: dict[str, _WorkerSlot] = {}
+        self._workers: dict[str, RelayWorker] = {}
+        #: The dispatcher's view of each worker's health, by name.
+        self._life: dict[str, PeerLifecycle] = {}
         self._subs: dict[tuple[int, int], list[EdgeSubscription]] = {}
         self._taps: list[EdgeSubscription] = []
         self._keys: set[tuple[int, int]] = set()
@@ -710,10 +701,11 @@ class FabricDispatcher:
             self._admit(worker)
 
     def _admit(self, worker: RelayWorker) -> None:
-        if worker.name in self._slots:
+        if worker.name in self._workers:
             raise ValueError(f"duplicate worker name {worker.name!r}")
         worker.ack_upstream = self._on_shard_ack
-        self._slots[worker.name] = _WorkerSlot(worker)
+        self._workers[worker.name] = worker
+        self._life[worker.name] = PeerLifecycle(self.quarantine_after, self.probe_policy, self._clock)
         self.ring.add(worker.name)
 
     # -- membership -----------------------------------------------------------
@@ -731,29 +723,29 @@ class FabricDispatcher:
     def remove_worker(self, name: str, *, drain: bool = True) -> None:
         """Scale in: take the worker off the ring, move its channels to
         the survivors, then drain it gracefully."""
-        slot = self._slots.pop(name, None)
-        if slot is None:
+        worker = self._workers.pop(name, None)
+        if worker is None:
             raise FabricError(f"no worker named {name!r}")
+        del self._life[name]
         if name in self.ring:
             self.ring.remove(name)
         self.metrics.inc("fabric.workers_removed")
         self._rebalance()
-        if drain and slot.worker.alive:
-            slot.worker.drain_and_stop()
-        slot.state = EVICTED
+        if drain and worker.alive:
+            worker.drain_and_stop()
 
     def worker(self, name: str) -> RelayWorker:
-        slot = self._slots.get(name)
-        if slot is None:
+        worker = self._workers.get(name)
+        if worker is None:
             raise FabricError(f"no worker named {name!r}")
-        return slot.worker
+        return worker
 
     @property
     def workers(self) -> list[RelayWorker]:
-        return [slot.worker for slot in self._slots.values()]
+        return list(self._workers.values())
 
     def worker_states(self) -> dict[str, str]:
-        return {name: slot.state for name, slot in self._slots.items()}
+        return {name: life.state for name, life in self._life.items()}
 
     # -- the forward path -----------------------------------------------------
 
@@ -826,28 +818,27 @@ class FabricDispatcher:
         if name is None:
             self.metrics.inc("fabric.dropped_no_worker")
             return
-        slot = self._slots[name]
         try:
-            slot.worker.ingest(message, header)
+            self._workers[name].ingest(message, header)
         except TransportError:
-            self._count_worker_failure(slot)
+            self._count_worker_failure(name)
             self.metrics.inc("fabric.dropped_worker_error")
         else:
-            slot.consecutive_errors = 0
+            self._life[name].succeeded()
             self.metrics.inc("fabric.routed")
 
     def _deliver_run(self, name: str, run: list[tuple[bytes, tuple]]) -> None:
-        slot = self._slots.get(name)
-        if slot is None or slot.state != ACTIVE:
+        life = self._life.get(name)
+        if life is None or life.state != ACTIVE:
             self.metrics.inc("fabric.dropped_worker_error", len(run))
             return
         try:
-            slot.worker.ingest_batch(run)
+            self._workers[name].ingest_batch(run)
         except TransportError:
-            self._count_worker_failure(slot)
+            self._count_worker_failure(name)
             self.metrics.inc("fabric.dropped_worker_error", len(run))
         else:
-            slot.consecutive_errors = 0
+            life.succeeded()
             self.metrics.inc("fabric.routed", len(run))
 
     def _broadcast_announcement(self, message: bytes) -> None:
@@ -858,13 +849,13 @@ class FabricDispatcher:
             self._seen_announcements.add(data)
             self._announcements.append(data)
             self.metrics.inc("fabric.announcements")
-        for slot in self._slots.values():
-            if slot.state != ACTIVE:
+        for name, life in self._life.items():
+            if life.state != ACTIVE:
                 continue
             try:
-                slot.worker.ingest(data)
+                self._workers[name].ingest(data)
             except TransportError:
-                self._count_worker_failure(slot)
+                self._count_worker_failure(name)
 
     def _replay_announcements(self, worker: RelayWorker) -> None:
         for frame in self._announcements:
@@ -890,7 +881,7 @@ class FabricDispatcher:
         name = self._owner_for(key)
         if name is None:
             raise FabricError("fabric has no live workers to place the subscription on")
-        sub = self._slots[name].worker.subscribe(
+        sub = self._workers[name].subscribe(
             key, transport, format_name=format_name, filter_expr=filter_expr
         )
         self._subs.setdefault(key, []).append(sub)
@@ -902,72 +893,57 @@ class FabricDispatcher:
         if sub in subs:
             subs.remove(sub)
         if sub.worker_name is not None:
-            slot = self._slots.get(sub.worker_name)
-            if slot is not None and slot.worker.alive:
-                slot.worker.unsubscribe(sub)
+            worker = self._workers.get(sub.worker_name)
+            if worker is not None and worker.alive:
+                worker.unsubscribe(sub)
 
     def tap(self, transport: Transport) -> EdgeSubscription:
         """Subscribe a transport to *every* worker's whole output (the
         ``pbio-fabric serve`` peer contract, like ``channel_handler``)."""
         tap = EdgeSubscription(None, transport, None, None)
         self._taps.append(tap)
-        for slot in self._slots.values():
-            if slot.state == ACTIVE and slot.worker.alive:
-                slot.worker.subscribe_tap(transport)
+        for name, worker in self._workers.items():
+            if self._life[name].state == ACTIVE and worker.alive:
+                worker.subscribe_tap(transport)
         return tap
 
     def untap(self, tap: EdgeSubscription) -> None:
         if tap in self._taps:
             self._taps.remove(tap)
-        for slot in self._slots.values():
-            if not slot.worker.alive:
+        for worker in self._workers.values():
+            if not worker.alive:
                 continue
-            for worker_tap in list(slot.worker.taps):
+            for worker_tap in list(worker.taps):
                 if worker_tap.transport is tap.transport:
-                    slot.worker.unsubscribe_tap(worker_tap)
+                    worker.unsubscribe_tap(worker_tap)
 
     # -- health / rebalance ---------------------------------------------------
 
-    def _count_worker_failure(self, slot: _WorkerSlot) -> None:
-        slot.consecutive_errors += 1
+    def _count_worker_failure(self, name: str) -> None:
         self.metrics.inc("fabric.worker_errors")
-        if slot.state == ACTIVE and slot.consecutive_errors >= self.quarantine_after:
-            self._quarantine(slot)
+        if self._life[name].failed():
+            self._quarantined(name)
 
-    def _quarantine(self, slot: _WorkerSlot) -> None:
-        now = self._clock()
-        slot.state = QUARANTINED
-        slot.quarantined_at = now
-        slot.probe_attempts = 0
-        slot.next_probe_at = (
-            now + self.probe_policy.delay(0) if self.probe_policy is not None else None
-        )
-        if slot.worker.name in self.ring:
-            self.ring.remove(slot.worker.name)
+    def _quarantined(self, name: str) -> None:
+        """A worker just entered quarantine: take it off the ring."""
+        if name in self.ring:
+            self.ring.remove(name)
         self.metrics.inc("fabric.workers_quarantined")
         self._rebalance()
 
-    def _reactivate(self, slot: _WorkerSlot) -> None:
-        slot.state = ACTIVE
-        slot.consecutive_errors = 0
-        slot.quarantined_at = None
-        slot.probe_attempts = 0
-        slot.next_probe_at = None
+    def _reactivate(self, name: str) -> None:
+        worker = self._workers[name]
+        self._life[name].reactivate()
         # A returned worker may be a restarted process with empty state:
         # replay the backlog (dedup absorbs it if it never died), restore
         # fabric-wide taps, then take traffic again.
-        self._replay_announcements(slot.worker)
+        self._replay_announcements(worker)
         for tap in self._taps:
-            worker_taps = slot.worker.taps
-            if not any(t.transport is tap.transport for t in worker_taps):
-                slot.worker.subscribe_tap(tap.transport)
-        self.ring.add(slot.worker.name)
+            if not any(t.transport is tap.transport for t in worker.taps):
+                worker.subscribe_tap(tap.transport)
+        self.ring.add(name)
         self.metrics.inc("fabric.workers_reactivated")
         self._rebalance()
-
-    def _evict(self, slot: _WorkerSlot) -> None:
-        slot.state = EVICTED
-        self.metrics.inc("fabric.workers_evicted")
 
     def heal(self, now: float | None = None) -> None:
         """One step of the fabric state machine: detect dead workers,
@@ -975,28 +951,24 @@ class FabricDispatcher:
         worker's own tree healing (which is what moves acks upstream)."""
         if now is None:
             now = self._clock()
-        policy = self.probe_policy
-        for slot in list(self._slots.values()):
-            if slot.state == ACTIVE:
-                if not slot.worker.alive:
-                    self._quarantine(slot)
+        for name, life in list(self._life.items()):
+            worker = self._workers[name]
+            if life.state == ACTIVE:
+                if not worker.alive:
+                    life.quarantine()
+                    self._quarantined(name)
                     continue
-                slot.worker.heal(now)
+                worker.heal(now)
                 continue
-            if slot.state != QUARANTINED or policy is None:
-                continue
-            entered = slot.quarantined_at
-            if entered is not None and now - entered >= policy.eviction_deadline_s:
-                self._evict(slot)
-                continue
-            if slot.next_probe_at is not None and now >= slot.next_probe_at:
-                slot.probe_attempts += 1
-                slot.next_probe_at = now + policy.delay(slot.probe_attempts)
+            verdict = life.step(now)
+            if verdict == EVICTED:
+                self.metrics.inc("fabric.workers_evicted")
+            elif verdict == PROBING:
                 self.metrics.inc("fabric.probes_sent")
                 # The in-process probe: is the worker taking traffic
                 # again?  (A socket fabric would ping here instead.)
-                if slot.worker.alive:
-                    self._reactivate(slot)
+                if worker.alive:
+                    self._reactivate(name)
 
     def _rebalance(self) -> None:
         """Re-own every known channel after a membership change and move
@@ -1017,14 +989,14 @@ class FabricDispatcher:
             if subs:
                 moved += 1
             for sub in subs:
-                old_slot = self._slots.get(sub.worker_name or "")
-                if old_slot is not None and old_slot.worker.alive:
-                    old_slot.worker.unsubscribe(sub)
+                old_worker = self._workers.get(sub.worker_name or "")
+                if old_worker is not None and old_worker.alive:
+                    old_worker.unsubscribe(sub)
                 if new_name is None:
                     sub.worker_name = None
                     sub.downstream = None
                     continue
-                self._slots[new_name].worker.adopt(sub)
+                self._workers[new_name].adopt(sub)
         if moved:
             self.metrics.inc("fabric.migrated_channels", moved)
 
@@ -1049,9 +1021,9 @@ class FabricDispatcher:
     @property
     def queue_depth(self) -> int:
         return sum(
-            slot.worker.queue_depth
-            for slot in self._slots.values()
-            if slot.state == ACTIVE and slot.worker.alive
+            worker.queue_depth
+            for name, worker in self._workers.items()
+            if self._life[name].state == ACTIVE and worker.alive
         )
 
     def ownership(self) -> dict[str, list[tuple[int, int]]]:
@@ -1059,9 +1031,9 @@ class FabricDispatcher:
         return self.ring.assignment(self._keys)
 
     def drain_and_stop(self, deadline_s: float = 5.0) -> None:
-        for slot in self._slots.values():
-            if slot.worker.alive:
-                slot.worker.drain_and_stop(deadline_s)
+        for worker in self._workers.values():
+            if worker.alive:
+                worker.drain_and_stop(deadline_s)
         self.metrics.inc("fabric.drained")
 
 

@@ -8,9 +8,15 @@ operator in the loop (docs/robustness.md §9):
   and exchanges the strict-size ``MSG_PING``/``MSG_PONG`` control frames
   (wire types 5/6).  Misses accumulate only when the link is otherwise
   silent; ``miss_threshold`` unanswered probes → :class:`PeerUnresponsive`.
-* :class:`ProbePolicy` — the exponential-backoff schedule a
-  :class:`~repro.net.relay.Relay` uses to probe quarantined downstreams,
-  plus the eviction deadline after which a silent peer is dropped for good.
+* :class:`ProbePolicy` — the exponential-backoff schedule for probing a
+  quarantined peer, plus the eviction deadline after which a silent peer
+  is dropped for good.
+* :class:`PeerLifecycle` — the one quarantine state machine
+  (``active ⇄ quarantined → probing → active | evicted``) built on a
+  ``ProbePolicy``.  Each :class:`~repro.net.relay.Relay` downstream and
+  each :class:`~repro.net.fabric.FabricDispatcher` worker holds one; the
+  owner performs the actions (ping, harvest, removal, rebalance), the
+  lifecycle keeps the state and decides when.
 * :class:`BoundedSendQueue` — a per-peer overflow buffer with the four
   policies the ROADMAP's relay-fabric item calls for
   (``block | drop_new | drop_old | coalesce``), shared between the sync
@@ -38,10 +44,11 @@ from .transport import PeerUnresponsive, Transport, TransportError
 OVERFLOW_POLICIES = ("block", "drop_new", "drop_old", "coalesce")
 
 
-def _queue_depth_of(transport) -> int:
-    """The transport's write-queue occupancy, if it exposes one (aio does)."""
-    depth = getattr(transport, "write_queue_depth", 0)
-    return depth if isinstance(depth, int) else 0
+#: Peer lifecycle states (:class:`PeerLifecycle`).
+ACTIVE = "active"
+QUARANTINED = "quarantined"
+PROBING = "probing"
+EVICTED = "evicted"
 
 
 class HeartbeatMonitor:
@@ -132,7 +139,7 @@ class HeartbeatMonitor:
             else:
                 try:
                     self.transport.send(
-                        enc.encode_pong(nonce, _queue_depth_of(self.transport))
+                        enc.encode_pong(nonce, self.transport.write_queue_depth)
                     )
                 except TransportError:
                     pass  # the tick's own ping will discover a dead link
@@ -179,23 +186,16 @@ class HeartbeatMonitor:
         self._last_ping_at = now
         self._alive_since_ping = False
         try:
-            self.transport.send(enc.encode_ping(self._nonce, _queue_depth_of(self.transport)))
+            self.transport.send(enc.encode_ping(self._nonce, self.transport.write_queue_depth))
             self.pings_sent += 1
         except TransportError:
             pass  # an unsendable ping is an unanswerable ping: counts as a miss
-
-    def goodbye(self) -> None:
-        """Emit the drain goodbye (nonce 0); best-effort, never raises."""
-        try:
-            self.transport.send(enc.encode_ping(enc.GOODBYE_NONCE, _queue_depth_of(self.transport)))
-        except TransportError:
-            pass
 
 
 def send_goodbye(transport) -> bool:
     """Best-effort goodbye ping on a bare transport; True if it went out."""
     try:
-        transport.send(enc.encode_ping(enc.GOODBYE_NONCE, _queue_depth_of(transport)))
+        transport.send(enc.encode_ping(enc.GOODBYE_NONCE, transport.write_queue_depth))
         return True
     except TransportError:
         return False
@@ -209,7 +209,8 @@ class ProbePolicy:
     max_delay_s)`` after quarantine entry (cumulatively); a peer that has
     not answered any probe ``eviction_deadline_s`` after entering
     quarantine is evicted.  Deterministic on purpose — no jitter — so
-    virtual-time tests replay exactly.
+    virtual-time tests replay exactly.  :class:`PeerLifecycle` walks
+    this schedule for relay downstreams and fabric workers alike.
     """
 
     base_delay_s: float = 0.5
@@ -230,6 +231,99 @@ class ProbePolicy:
     def delay(self, attempt: int) -> float:
         """Seconds to wait before probe ``attempt`` (0-based)."""
         return min(self.base_delay_s * (self.multiplier**attempt), self.max_delay_s)
+
+
+class PeerLifecycle:
+    """One peer's quarantine state machine::
+
+        active ⇄ quarantined → probing → active | evicted
+
+    ``threshold`` *consecutive* failures (:meth:`failed`; any
+    :meth:`succeeded` resets the count) quarantine an active peer.  With
+    a :class:`ProbePolicy`, :meth:`step` walks the quarantine: a probe
+    is due ``policy.delay(n)`` after the previous one, and a peer still
+    quarantined ``eviction_deadline_s`` after entry is evicted.  An
+    answered probe is the owner's call to :meth:`reactivate`; without a
+    policy, recovery is manual.
+
+    The lifecycle only keeps state and decides *when*; its owner (a
+    relay downstream, a fabric worker) does the work — sending the
+    probe, harvesting the answer, removing or rebalancing.
+    """
+
+    __slots__ = ("threshold", "policy", "_clock", "state", "consecutive_errors",
+                 "quarantined_at", "probe_attempts", "next_probe_at")
+
+    def __init__(
+        self,
+        threshold: int,
+        policy: ProbePolicy | None = None,
+        clock: Callable[[], float] = time.monotonic,
+    ):
+        self.threshold = threshold
+        self.policy = policy
+        self._clock = clock
+        self.state = ACTIVE
+        self.consecutive_errors = 0
+        self.quarantined_at: float | None = None
+        self.probe_attempts = 0
+        self.next_probe_at: float | None = None
+
+    @property
+    def quarantined(self) -> bool:
+        """Out of service but not gone: quarantined or probing."""
+        return self.state == QUARANTINED or self.state == PROBING
+
+    def succeeded(self) -> None:
+        self.consecutive_errors = 0
+
+    def failed(self) -> bool:
+        """Count one failure; True when it just quarantined the peer."""
+        self.consecutive_errors += 1
+        if self.state != ACTIVE or self.consecutive_errors < self.threshold:
+            return False
+        self.quarantine()
+        return True
+
+    def quarantine(self) -> None:
+        """Enter quarantine now; the first probe is ``delay(0)`` away."""
+        now = self._clock()
+        self.state = QUARANTINED
+        self.quarantined_at = now
+        self.probe_attempts = 0
+        self.next_probe_at = None if self.policy is None else now + self.policy.delay(0)
+
+    def reactivate(self) -> None:
+        self.state = ACTIVE
+        self.consecutive_errors = 0
+        self.quarantined_at = None
+        self.probe_attempts = 0
+        self.next_probe_at = None
+
+    def evict(self) -> None:
+        self.state = EVICTED
+
+    def step(self, now: float) -> str | None:
+        """Advance a quarantined peer's schedule to ``now``.
+
+        Returns :data:`EVICTED` when the eviction deadline has passed
+        (the peer is now evicted), :data:`PROBING` when a probe is due
+        (the peer is now probing; the owner sends the probe), else
+        ``None``.  Active and evicted peers, and every peer without a
+        policy, never step.
+        """
+        policy = self.policy
+        if policy is None or not self.quarantined:
+            return None
+        if now - self.quarantined_at >= policy.eviction_deadline_s:
+            self.state = EVICTED
+            return EVICTED
+        if now < self.next_probe_at:
+            return None
+        self.state = PROBING
+        self.probe_attempts += 1
+        self.next_probe_at = now + policy.delay(self.probe_attempts)
+        return PROBING
 
 
 class BoundedSendQueue:

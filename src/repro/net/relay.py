@@ -19,7 +19,9 @@ Fan-out is failure-isolated: a downstream whose transport raises
 its siblings.  Errors are counted per downstream (``send_errors``) and
 after ``quarantine_after`` *consecutive* failures the downstream is
 quarantined.  With a :class:`~repro.net.health.ProbePolicy` the
-quarantine is a *self-healing* state machine —
+quarantine is a *self-healing* state machine — each downstream's
+:class:`~repro.net.health.PeerLifecycle`, the same one the fabric keeps
+per worker —
 
     attached → active ⇄ quarantined → probing → active | evicted
 
@@ -46,7 +48,7 @@ blocks on one peer, and a queue at capacity raises
 :class:`~repro.net.transport.WriteQueueFull` — a ``TransportError`` —
 so the *same* consecutive-failure quarantine that handles broken links
 doubles as slow-consumer eviction (the paper's co-processor must shed,
-not stall).  :attr:`_Downstream.write_queue_depth` exposes the live
+not stall).  :attr:`Downstream.write_queue_depth` exposes the live
 queue depth for monitoring.
 """
 
@@ -63,14 +65,18 @@ from repro.core.errors import PbioError, TokenResolutionError
 from repro.core.filters import RecordFilter
 from repro.core.runtime import ConverterCache, DownstreamStats, Metrics
 from repro.core.safety import DEFAULT_LIMITS, DecodeLimits
-from repro.net.health import OVERFLOW_POLICIES, BoundedSendQueue, ProbePolicy, send_goodbye
+from repro.net.health import (
+    ACTIVE,
+    EVICTED,
+    OVERFLOW_POLICIES,
+    PROBING,
+    QUARANTINED as QUARANTINED,  # re-exported: the lifecycle states live in health
+    BoundedSendQueue,
+    PeerLifecycle,
+    ProbePolicy,
+    send_goodbye,
+)
 from repro.net.transport import Transport, TransportError, WriteQueueFull
-
-#: Downstream lifecycle states (the quarantine state machine).
-ACTIVE = "active"
-QUARANTINED = "quarantined"
-PROBING = "probing"
-EVICTED = "evicted"
 
 
 class Downstream:
@@ -85,40 +91,39 @@ class Downstream:
         self,
         transport: Transport,
         flt: RecordFilter | None,
-        queue: BoundedSendQueue | None = None,
+        queue: BoundedSendQueue | None,
+        life: PeerLifecycle,
     ):
         self.transport = transport
         self.filter = flt
         self.metrics = Metrics()
         self.stats = DownstreamStats(self.metrics)
-        self.consecutive_errors = 0
-        self.state = ACTIVE
+        self.life = life
         self.send_queue = queue
-        self.quarantined_at: float | None = None
-        self.probe_attempts = 0
-        self.next_probe_at: float | None = None
         #: Per-stream cumulative ack cursors harvested off this peer's
         #: back-channel (durable delivery, docs/robustness.md §11).
         self.ack_cursors: dict[tuple[int, int], int] = {}
 
     @property
+    def state(self) -> str:
+        """The lifecycle state.  Read-only — state changes go through
+        the relay."""
+        return self.life.state
+
+    @property
     def quarantined(self) -> bool:
         """True while the downstream is out of the fan-out (quarantined
-        or probing).  Read-only — state changes go through the relay."""
-        return self.state in (QUARANTINED, PROBING)
+        or probing)."""
+        return self.life.quarantined
 
     @property
     def write_queue_depth(self) -> int:
         """Bytes queued toward this downstream: the transport's own
-        queue (async transports) plus the relay-side overflow queue."""
-        depth = getattr(self.transport, "write_queue_depth", 0)
+        queue plus the relay-side overflow queue."""
+        depth = self.transport.write_queue_depth
         if self.send_queue is not None:
             depth += self.send_queue.queued_bytes
         return depth
-
-
-#: Back-compat alias: pre-PR 7 code (and its tests) knew the private name.
-_Downstream = Downstream
 
 
 class Relay:
@@ -241,7 +246,8 @@ class Relay:
         queue = None
         if self.overflow != "block":
             queue = BoundedSendQueue(self.max_queue_bytes, self.overflow)
-        downstream = Downstream(transport, flt, queue)
+        life = PeerLifecycle(self.quarantine_after, self.probe_policy, self._clock)
+        downstream = Downstream(transport, flt, queue, life)
         self._downstreams.append(downstream)
         for announcement in self._announcements:
             self._send(downstream, announcement, "announcements")
@@ -250,7 +256,7 @@ class Relay:
     def detach(self, downstream: Downstream) -> None:
         """Remove a downstream entirely (it will not be forwarded again)."""
         self._downstreams.remove(downstream)
-        downstream.state = EVICTED
+        downstream.life.evict()
 
     def reactivate(self, downstream: Downstream) -> None:
         """Clear a quarantine (e.g. after the link reconnected) and replay
@@ -259,14 +265,7 @@ class Relay:
         This is the manual override; with a ``probe_policy`` configured,
         :meth:`heal` calls the same transition automatically on a pong.
         """
-        self._reactivate(downstream)
-
-    def _reactivate(self, downstream: Downstream) -> None:
-        downstream.state = ACTIVE
-        downstream.consecutive_errors = 0
-        downstream.quarantined_at = None
-        downstream.probe_attempts = 0
-        downstream.next_probe_at = None
+        downstream.life.reactivate()
         downstream.metrics.inc("reactivated")
         self.metrics.inc("relay.reactivated")
         for announcement in self._announcements:
@@ -286,14 +285,10 @@ class Relay:
             for seq, message in window:
                 if seq <= cursor:
                     continue
-                if downstream.filter is not None:
-                    try:
-                        if not downstream.filter.matches(enc.seq_to_data(message)[1]):
-                            downstream.metrics.inc("filtered_out")
-                            continue
-                    except PbioError:
-                        downstream.metrics.inc("filter_errors")
-                        continue
+                if downstream.filter is not None and not self._admits(
+                    downstream, enc.seq_to_data(message)[1]
+                ):
+                    continue
                 self._send(downstream, message, "replayed")
                 self.metrics.inc("durable.replayed")
 
@@ -301,23 +296,28 @@ class Relay:
     def active_downstreams(self) -> list[Downstream]:
         return [d for d in self._downstreams if d.state == ACTIVE]
 
-    def _quarantine(self, downstream: Downstream) -> None:
-        downstream.state = QUARANTINED
-        downstream.metrics.inc("detached")
-        now = self._clock()
-        downstream.quarantined_at = now
-        downstream.probe_attempts = 0
-        if self.probe_policy is not None:
-            downstream.next_probe_at = now + self.probe_policy.delay(0)
-        self.metrics.inc("relay.quarantined")
+    @staticmethod
+    def _admits(downstream: Downstream, record, header=None) -> bool:
+        """Evaluate the downstream's filter on one data record, counting
+        rejections.  A record whose predicate cannot be evaluated (e.g.
+        the announcement it needs never made it here) is withheld from
+        this downstream, not from its siblings."""
+        try:
+            if downstream.filter.matches(record, header=header):
+                return True
+        except PbioError:
+            downstream.metrics.inc("filter_errors")
+            return False
+        downstream.metrics.inc("filtered_out")
+        return False
 
     def _count_failure(self, downstream: Downstream, exc: TransportError) -> None:
         downstream.metrics.inc("send_errors")
-        downstream.consecutive_errors += 1
         if self.on_error is not None:
             self.on_error(downstream, exc)
-        if downstream.consecutive_errors >= self.quarantine_after:
-            self._quarantine(downstream)
+        if downstream.life.failed():
+            downstream.metrics.inc("detached")
+            self.metrics.inc("relay.quarantined")
 
     def _spill(self, downstream: Downstream, message: bytes, counter: str) -> None:
         """Queue a frame the transport would not take right now."""
@@ -330,7 +330,7 @@ class Relay:
             self.metrics.inc("relay.overflow_dropped")
         # The policy absorbed the pressure: a full-but-draining peer is a
         # slow consumer being managed, not a broken link.
-        downstream.consecutive_errors = 0
+        downstream.life.succeeded()
 
     def _try_flush(self, downstream: Downstream) -> None:
         """Move queued overflow frames to the transport, best-effort."""
@@ -346,7 +346,7 @@ class Relay:
             return
         if flushed:
             downstream.metrics.inc("overflow_flushed", flushed)
-            downstream.consecutive_errors = 0
+            downstream.life.succeeded()
 
     def _send(self, downstream: Downstream, message: bytes, counter: str) -> None:
         """Send to one downstream, absorbing transport failures.
@@ -377,7 +377,7 @@ class Relay:
         except TransportError as exc:
             self._count_failure(downstream, exc)
         else:
-            downstream.consecutive_errors = 0
+            downstream.life.succeeded()
             downstream.metrics.inc(counter)
 
     def forward(self, message: bytes, *, header=None) -> None:
@@ -411,9 +411,15 @@ class Relay:
             # downstream probing runs in heal(), on the back-channel).
             self.metrics.inc("relay.heartbeats_dropped")
             return
-        if kind == enc.MSG_FORMAT:
+        if kind == enc.MSG_FORMAT or kind == enc.MSG_FORMAT_TOKEN:
+            # Absorbed for filter compilation.  Tokens forward *verbatim*
+            # — meta is never re-expanded in the middle of the network —
+            # and one the relay cannot resolve only degrades filtering on
+            # that format, never forwarding.
             try:
-                self.ctx.receive(message)  # absorb for filter compilation
+                self.ctx.receive(message)
+            except TokenResolutionError:
+                self.metrics.inc("relay.unresolved_tokens")
             except PbioError:  # malformed meta: don't propagate it downstream
                 self.metrics.inc("relay.rejected")
                 return
@@ -421,28 +427,6 @@ class Relay:
             if data in self._seen_announcements:
                 # Anyone attached since the first copy got it at attach
                 # time; anyone attached before got the original forward.
-                self.metrics.inc("relay.announcements_deduped")
-                return
-            self._seen_announcements.add(data)
-            self._announcements.append(data)
-            for downstream in self._downstreams:
-                self._send(downstream, message, "announcements")
-            return
-        if kind == enc.MSG_FORMAT_TOKEN:
-            # The relay's key property: tokens forward *verbatim* — meta
-            # is never re-expanded in the middle of the network.  The
-            # relay absorbs the token for its own registry if it can
-            # (filters need it); an unresolvable token only degrades
-            # filtering on that format, never forwarding.
-            try:
-                self.ctx.receive(message)
-            except TokenResolutionError:
-                self.metrics.inc("relay.unresolved_tokens")
-            except PbioError:  # malformed/quota-busting token frame
-                self.metrics.inc("relay.rejected")
-                return
-            data = bytes(message)
-            if data in self._seen_announcements:
                 self.metrics.inc("relay.announcements_deduped")
                 return
             self._seen_announcements.add(data)
@@ -487,13 +471,7 @@ class Relay:
                 if downstream.filter is not None:
                     if stripped is None:
                         stripped = enc.seq_to_data(data)[1]
-                    try:
-                        matched = downstream.filter.matches(stripped)
-                    except PbioError:
-                        downstream.metrics.inc("filter_errors")
-                        continue
-                    if not matched:
-                        downstream.metrics.inc("filtered_out")
+                    if not self._admits(downstream, stripped):
                         continue
                 self._send(downstream, data, "forwarded")
             return
@@ -504,18 +482,8 @@ class Relay:
         for downstream in self._downstreams:
             if downstream.quarantined:
                 continue
-            if downstream.filter is not None:
-                try:
-                    matched = downstream.filter.matches(message)
-                except PbioError:
-                    # e.g. the announcement this record needs never made it
-                    # here: this downstream cannot evaluate its predicate,
-                    # so the record is withheld from it, not from siblings.
-                    downstream.metrics.inc("filter_errors")
-                    continue
-                if not matched:
-                    downstream.metrics.inc("filtered_out")
-                    continue
+            if downstream.filter is not None and not self._admits(downstream, message):
+                continue
             self._send(downstream, message, "forwarded")  # verbatim: zero re-encoding
 
     def forward_batch(self, messages, headers=None) -> None:
@@ -566,17 +534,7 @@ class Relay:
             if downstream.quarantined:
                 continue
             if downstream.filter is not None:
-                batch = []
-                for message, header in run:
-                    try:
-                        matched = downstream.filter.matches(message, header=header)
-                    except PbioError:
-                        downstream.metrics.inc("filter_errors")
-                        continue
-                    if not matched:
-                        downstream.metrics.inc("filtered_out")
-                        continue
-                    batch.append(message)
+                batch = [m for m, header in run if self._admits(downstream, m, header)]
             else:
                 batch = [message for message, _header in run]
             if batch:
@@ -592,13 +550,8 @@ class Relay:
             for message in batch:  # backlog: keep order through the queue
                 self._send(downstream, message, counter)
             return
-        send_many = getattr(downstream.transport, "send_many", None)
         try:
-            if send_many is not None:
-                send_many(batch)
-            else:  # duck-typed link predating the batch API
-                for message in batch:
-                    downstream.transport.send(message)
+            downstream.transport.send_many(batch)
         except WriteQueueFull as exc:
             if queue is not None:
                 # The async queue admits bursts all-or-nothing, so the
@@ -610,7 +563,7 @@ class Relay:
         except TransportError as exc:
             self._count_failure(downstream, exc)
         else:
-            downstream.consecutive_errors = 0
+            downstream.life.succeeded()
             downstream.metrics.inc(counter, len(batch))
 
     def pump(self, upstream: Transport, count: int) -> None:
@@ -621,8 +574,7 @@ class Relay:
     def pump_batch(self, upstream: Transport, max_frames: int = 0) -> int:
         """Drain one burst from ``upstream`` (``recv_many``) and forward
         it as a batch; returns the number of frames moved."""
-        recv_many = getattr(upstream, "recv_many", None)
-        frames = recv_many(max_frames) if recv_many is not None else [upstream.recv()]
+        frames = upstream.recv_many(max_frames)
         self.forward_batch(frames)
         return len(frames)
 
@@ -640,7 +592,6 @@ class Relay:
         """
         if now is None:
             now = self._clock()
-        policy = self.probe_policy
         for downstream in list(self._downstreams):
             if downstream.state == ACTIVE:
                 # Ack frames ride the same back-channel the probe pump
@@ -649,18 +600,19 @@ class Relay:
                 self._harvest_pong(downstream)
                 self._try_flush(downstream)
                 continue
-            if policy is None or downstream.state == EVICTED:
+            if self.probe_policy is None:
                 continue
             if self._harvest_pong(downstream):
-                self._reactivate(downstream)
+                self.reactivate(downstream)
                 self._try_flush(downstream)
                 continue
-            entered = downstream.quarantined_at
-            if entered is not None and now - entered >= policy.eviction_deadline_s:
-                self._evict(downstream)
-                continue
-            if downstream.next_probe_at is not None and now >= downstream.next_probe_at:
-                self._probe(downstream, now)
+            verdict = downstream.life.step(now)
+            if verdict == EVICTED:
+                self._downstreams.remove(downstream)
+                downstream.metrics.inc("evicted")
+                self.metrics.inc("relay.evicted")
+            elif verdict == PROBING:
+                self._probe(downstream)
         self._aggregate_acks()
 
     def _harvest_pong(self, downstream: Downstream) -> bool:
@@ -707,7 +659,7 @@ class Relay:
         """
         if self.ack_upstream is None:
             return
-        active = [d for d in self._downstreams if d.state == ACTIVE]
+        active = self.active_downstreams
         if not active:
             return
         keys: set[tuple[int, int]] = set()
@@ -728,23 +680,14 @@ class Relay:
             else:
                 self.metrics.inc("durable.acks_sent")
 
-    def _probe(self, downstream: Downstream, now: float) -> None:
+    def _probe(self, downstream: Downstream) -> None:
         self._ping_nonce += 1
-        downstream.state = PROBING
         try:
             downstream.transport.send(enc.encode_ping(self._ping_nonce))
         except TransportError:
             pass  # an unsendable probe is an unanswered probe
         downstream.metrics.inc("probes_sent")
         self.metrics.inc("relay.probes_sent")
-        downstream.probe_attempts += 1
-        downstream.next_probe_at = now + self.probe_policy.delay(downstream.probe_attempts)
-
-    def _evict(self, downstream: Downstream) -> None:
-        downstream.state = EVICTED
-        self._downstreams.remove(downstream)
-        downstream.metrics.inc("evicted")
-        self.metrics.inc("relay.evicted")
 
     # -- graceful drain -------------------------------------------------------
 

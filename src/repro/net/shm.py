@@ -78,7 +78,6 @@ import struct
 import tempfile
 import time
 import uuid
-from collections import deque
 
 from .transport import (
     MAX_FRAME,
@@ -346,9 +345,6 @@ class ShmRingTransport(Transport):
         self._owner = owner
         self._timeout: float | None = None
         self._closed = False
-        # Cumulative-tail mark per in-flight frame; pruned as the peer's
-        # head passes each mark.  Powers write_queue_depth / drain.
-        self._inflight: deque[int] = deque()
         # This endpoint only ever *writes* its send ring's data bell and
         # its recv ring's space bell; make those writes non-blocking so a
         # doorbell brimming with unconsumed wakes can never stall a send.
@@ -455,7 +451,6 @@ class ShmRingTransport(Transport):
         _U64.pack_into(view, _OFF_TAIL, new_tail)  # publish
         if _U32.unpack_from(view, _OFF_RWAIT)[0]:
             ring.ring_data_bell()
-        self._inflight.append(new_tail)
 
     def send_segments(self, segments) -> None:
         """One logical message from many buffers — written directly into
@@ -467,7 +462,6 @@ class ShmRingTransport(Transport):
         ring.tail = new_tail  # publish: bytes are in place
         if ring.rwait:
             ring.ring_data_bell()
-        self._inflight.append(new_tail)
 
     def send_many(self, frames) -> None:
         """Many frames in one burst.  Contiguous runs that fit the free
@@ -481,18 +475,15 @@ class ShmRingTransport(Transport):
             tail = self._reserve(total, deadline)
             free = ring.capacity - (tail - ring.head)
             new_tail = tail
-            marks = []
             while i < len(frames):
                 need = 4 + len(frames[i])
                 if new_tail - tail + need > free:
                     break
                 new_tail = self._put_frame(new_tail, [frames[i]])
-                marks.append(new_tail)
                 i += 1
             ring.tail = new_tail  # one publish for the whole run
             if ring.rwait:
                 ring.ring_data_bell()
-            self._inflight.extend(marks)
 
     # -- receive -------------------------------------------------------------
 
@@ -580,22 +571,23 @@ class ShmRingTransport(Transport):
 
     @property
     def write_queue_depth(self) -> int:
-        """Frames written but not yet consumed by the peer."""
-        inflight = self._inflight
-        if inflight:
-            head = self._send_ring.head
-            while inflight and inflight[0] <= head:
-                inflight.popleft()
-        return len(inflight)
+        """Bytes written (length prefixes included) but not yet consumed
+        by the peer."""
+        ring = self._send_ring
+        return ring.tail - ring.head
 
-    def drain(self) -> None:
-        """Block until the peer has consumed every written frame."""
+    def wait_consumed(self) -> None:
+        """Block until the peer has consumed every written frame.
+
+        Not :meth:`drain`: that coroutine waits only for sends queued
+        inside this process, and a ring send has left it once it returns.
+        """
         deadline = self._deadline()
         ring = self._send_ring
         spins = 0
         while ring.tail - ring.head:
             if ring.rclosed:
-                raise PeerClosedError("drain failed: peer closed its ring")
+                raise PeerClosedError("wait_consumed failed: peer closed its ring")
             spins += 1
             if spins <= SPIN_LIMIT:
                 os.sched_yield()
@@ -604,10 +596,9 @@ class ShmRingTransport(Transport):
             try:
                 if not ring.tail - ring.head or ring.rclosed:
                     continue
-                self._block_on(ring.space_bell, deadline, "shm drain")
+                self._block_on(ring.space_bell, deadline, "shm wait_consumed")
             finally:
                 ring.set_wwait(0)
-        self._inflight.clear()
 
     # -- lifecycle -----------------------------------------------------------
 

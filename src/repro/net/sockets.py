@@ -15,6 +15,7 @@ crossings (:meth:`recv_many`).
 
 from __future__ import annotations
 
+import select
 import socket
 import threading
 from typing import Callable
@@ -184,6 +185,10 @@ class SocketTransport(Transport):
             data = self._framer.next_frame()
             if data is not None:
                 return data
+            # A socket with a timeout waits for readiness before every
+            # read, MSG_DONTWAIT notwithstanding: check readiness here.
+            if not select.select([self._sock], [], [], 0)[0]:
+                return None
             view = self._framer.writable(self._framer.needed())
             try:
                 got = self._sock.recv_into(view, 0, socket.MSG_DONTWAIT)

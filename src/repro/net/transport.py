@@ -89,7 +89,26 @@ def transport_token(transport) -> int:
 
 
 class Transport(ABC):
-    """One endpoint of a duplex, message-oriented link."""
+    """One endpoint of a duplex, message-oriented link.
+
+    Every capability a caller may use has a default here, so callers
+    call it directly and never probe with ``getattr``: a transport
+    overrides what it can do better and inherits the rest.  Each name
+    has one shape on every transport — ``drain`` is always a coroutine,
+    everything else is synchronous (the async socket's ``recv`` and
+    ``recv_many`` are the one exception: they await readiness).
+    """
+
+    #: Incarnation of the link behind this object: a self-reconnecting
+    #: transport bumps it on each re-dial, so per-link protocol state
+    #: keyed by ``(transport_token, generation)`` starts fresh.
+    generation = 0
+
+    #: Bytes sent toward the peer that it has not yet taken, as far as
+    #: this transport can see (frames plus their length prefixes): an
+    #: async socket's write queue, a shared-memory ring's unread bytes;
+    #: 0 where the transport cannot tell.
+    write_queue_depth = 0
 
     @abstractmethod
     def send(self, payload: bytes | bytearray | memoryview) -> None:
@@ -163,6 +182,16 @@ class Transport(ABC):
         ``None`` lease simply means the frames own their bytes).
         """
         return self.recv_many(max_frames), None
+
+    def pending(self) -> int:
+        """Messages :meth:`recv` can return without blocking; 0 when the
+        transport cannot tell cheaply (a poller then simply skips it)."""
+        return 0
+
+    async def drain(self) -> None:
+        """Wait until sends queued inside this process have been handed
+        on (an async socket's writer queue reaching the kernel); a no-op
+        where ``send`` hands the bytes on before it returns."""
 
 
 def frame(payload: bytes | bytearray | memoryview) -> bytes:
@@ -354,17 +383,6 @@ class _PipeEnd(Transport):
         self.bytes_received += len(data)
         return data
 
-    def send_many(self, frames) -> None:
-        if self._closed:
-            raise TransportError("send on closed transport")
-        if self._peer is not None and self._peer._closed:
-            raise PeerClosedError("send failed: peer transport is closed")
-        for payload in frames:
-            data = bytes(payload)
-            self._outbox.append(data)
-            self.bytes_sent += len(data)
-            self.messages_sent += 1
-
     def recv_many(self, max_frames: int = 0) -> list[bytes]:
         out = [self.recv()]  # same empty/PeerClosed semantics as recv
         while self._inbox and (max_frames <= 0 or len(out) < max_frames):
@@ -377,15 +395,9 @@ class _PipeEnd(Transport):
         return len(self._inbox)
 
     def poll_recv(self) -> bytes | None:
-        if self._closed:
-            raise TransportError("recv on closed transport")
-        if not self._inbox:
-            if self._peer is not None and self._peer._closed:
-                raise PeerClosedError("recv failed: peer closed, stream drained")
-            return None
-        data = self._inbox.popleft()
-        self.bytes_received += len(data)
-        return data
+        if self._inbox or self._closed or (self._peer is not None and self._peer._closed):
+            return self.recv()  # a frame, or recv's closed/drained error
+        return None
 
     def close(self) -> None:
         self._closed = True

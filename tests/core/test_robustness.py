@@ -167,6 +167,7 @@ from repro.net import (  # noqa: E402
     InMemoryPipe,
     Relay,
     RetryPolicy,
+    Transport,
     TransportError,
 )
 
@@ -295,7 +296,7 @@ def test_chaos_rpc_retry_executes_servant_exactly_once(seed):
     pipe = InMemoryPipe()
     rng = np.random.default_rng(seed)
 
-    class FlakyLoop:
+    class FlakyLoop(Transport):
         def set_timeout(self, timeout_s):
             pass
 

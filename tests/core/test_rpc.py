@@ -4,7 +4,7 @@ import pytest
 
 from repro.abi import ALPHA, SPARC_V8, X86, CType, FieldDecl, RecordSchema
 from repro.core import RpcClient, RpcFault, RpcInterface, RpcOperation, RpcServer
-from repro.net import InMemoryPipe
+from repro.net import InMemoryPipe, Transport
 
 ADD_REQ = RecordSchema.from_pairs("add_req", [("a", "double"), ("b", "double")])
 ADD_REP = RecordSchema.from_pairs("add_rep", [("total", "double")])
@@ -34,7 +34,7 @@ def make_pair(client_machine=X86, server_machine=SPARC_V8, interface=CALC):
 
     server.register(b"calc", {"add": add, "norm": norm})
 
-    class SyncTransport:
+    class SyncTransport(Transport):
         """Client-side transport that runs the server synchronously."""
 
         def send(self, data):
@@ -85,7 +85,7 @@ class TestRpc:
         server = RpcServer(SPARC_V8, CALC)
         server.register(b"calc", {"add": lambda r: {"total": r["a"] + r["b"]}})
 
-        class SyncTransport:
+        class SyncTransport(Transport):
             def send(self, data):
                 pipe.a.send(data)
 
@@ -93,6 +93,9 @@ class TestRpc:
                 while pipe.b.pending() and not pipe.a.pending():
                     server.serve_one(pipe.b)
                 return pipe.a.recv()
+
+            def close(self):
+                pass
 
         with pytest.raises(RpcFault, match="no operation"):
             client.invoke(SyncTransport(), b"calc", "norm", {"v": (0.0,) * 8, "n": 1})
@@ -119,7 +122,7 @@ class TestRpcEvolution:
         server = RpcServer(SPARC_V8, CALC)
         server.register(b"calc", {"add": lambda r: {"total": r["a"] + r["b"]}})
 
-        class SyncTransport:
+        class SyncTransport(Transport):
             def send(self, data):
                 pipe.a.send(data)
 
@@ -127,6 +130,9 @@ class TestRpcEvolution:
                 while pipe.b.pending() and not pipe.a.pending():
                     server.serve_one(pipe.b)
                 return pipe.a.recv()
+
+            def close(self):
+                pass
 
         result = client.invoke(
             SyncTransport(), b"calc", "add", {"a": 1.0, "b": 2.0, "precision": 9}

@@ -15,7 +15,7 @@ from repro.core import (
 from repro.core import encoder as enc
 from repro.core.negotiation import Announcer, InboundNegotiator
 from repro.fmtserv import FormatCache, FormatServer, FormatService
-from repro.net import EventChannel, InMemoryPipe, Relay, TransportError
+from repro.net import EventChannel, InMemoryPipe, Relay, Transport, TransportError
 
 from .helpers import FakeClock, SyncServerLink, no_sleep
 
@@ -38,7 +38,7 @@ def make_service(server=None, **kw):
     return FormatService(connect, **kw)
 
 
-class CountingPipeEnd:
+class CountingPipeEnd(Transport):
     """Transport wrapper that tallies wire frames by message type."""
 
     def __init__(self, inner):
@@ -331,7 +331,7 @@ class TestRpcTokens:
         rpc_server = RpcServer(SPARC_V8, CALC, format_service=make_service(server))
         rpc_server.register(b"calc", {"add": lambda r: {"total": r["a"] + r["b"]}})
 
-        class SyncTransport:
+        class SyncTransport(Transport):
             def send(self, data):
                 pipe.a.send(data)
 

@@ -9,7 +9,7 @@ from repro.fmtserv import (
     FormatServer,
     FormatService,
 )
-from repro.net import RetryPolicy
+from repro.net import RetryPolicy, Transport
 
 from .helpers import FakeClock, SyncServerLink, no_sleep
 
@@ -159,7 +159,7 @@ class TestService:
         clock = FakeClock()
         from repro.net import TransportError
 
-        class DeadTransport:
+        class DeadTransport(Transport):
             def send(self, data):
                 raise TransportError("link down")
 

@@ -33,6 +33,7 @@ from repro.net import (
     ReconnectingTransport,
     Relay,
     RetryPolicy,
+    Transport,
     TransportError,
     TransportTimeout,
     transport_token,
@@ -426,7 +427,7 @@ class TestRelayGracefulDegradation:
         assert bad not in relay.active_downstreams
 
     def test_success_resets_consecutive_error_count(self):
-        class FlickeringTransport:
+        class FlickeringTransport(Transport):
             """Fails every other send: never quarantined at threshold 2."""
 
             def __init__(self):
@@ -542,7 +543,7 @@ class TestEventChannelErrorPolicies:
             channel.subscribe(ctx, lambda r: None, on_error="explode")
 
 
-class _FlakyLoop:
+class _FlakyLoop(Transport):
     """Synchronous client↔server transport that loses replies.
 
     ``serve_one`` runs inline (like the test loops in test_rpc.py); with
@@ -661,7 +662,7 @@ class TestRpcRetryAndDedup:
         """A frame that is not a call header (e.g. a stray record body
         after mid-reply frame loss) raises PbioError, not struct.error."""
 
-        class Garbage:
+        class Garbage(Transport):
             def set_timeout(self, timeout_s):
                 pass
 
@@ -670,6 +671,9 @@ class TestRpcRetryAndDedup:
 
             def recv(self):
                 return b"\x00\x01"  # far too short for a call header
+
+            def close(self):
+                pass
 
         client = RpcClient(X86, CALC)
         with pytest.raises(PbioError, match="malformed call header"):
@@ -682,7 +686,7 @@ class TestRpcRetryAndDedup:
         assert executed == []
 
     def test_deadline_bounds_retry_budget(self):
-        class BlackHole:
+        class BlackHole(Transport):
             def set_timeout(self, timeout_s):
                 pass
 

@@ -21,6 +21,7 @@ from repro.core.errors import MessageError
 from repro.net import (
     BoundedSendQueue,
     CircuitBreaker,
+    FabricDispatcher,
     FaultInjectingTransport,
     FaultPlan,
     HeartbeatMonitor,
@@ -28,6 +29,7 @@ from repro.net import (
     PeerUnresponsive,
     ProbePolicy,
     Relay,
+    Transport,
     TransportError,
     VirtualClock,
     WriteQueueFull,
@@ -60,7 +62,7 @@ def drain_frames(pipe_end) -> list[bytes]:
     return frames
 
 
-class FlakyLink:
+class FlakyLink(Transport):
     """A pipe end whose send path can be switched dead and alive."""
 
     def __init__(self, inner):
@@ -82,7 +84,7 @@ class FlakyLink:
         self.inner.close()
 
 
-class ChokedLink:
+class ChokedLink(Transport):
     """A pipe end that signals a full write queue while ``full`` is set."""
 
     def __init__(self, inner):
@@ -721,64 +723,93 @@ class TestClassifiedFaultPlans:
 
 
 @seed(CHAOS_SEED)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
+    peer=st.sampled_from(["relay downstream", "fabric worker"]),
     answer_after=st.one_of(st.none(), st.integers(min_value=1, max_value=5)),
     step=st.floats(min_value=0.25, max_value=2.0),
 )
-def test_quarantine_always_resolves(answer_after, step):
-    """A quarantined downstream either reactivates (with zero lost
-    announcements — the replayed stream decodes) or is evicted promptly
-    at the deadline.  It is never left probing forever."""
+def test_quarantine_always_resolves(peer, answer_after, step):
+    """A quarantined peer — a relay downstream or a fabric worker, each
+    driven by one :class:`PeerLifecycle` — either reactivates (with zero
+    lost announcements — the replayed stream decodes) or is evicted
+    promptly at the deadline.  It is never left probing forever.
+
+    A relay downstream answers a probe with a pong on its link; a fabric
+    worker answers by being alive again at the next in-process probe."""
     clock = VirtualClock()
     policy = ProbePolicy(
         base_delay_s=0.5, multiplier=2.0, max_delay_s=4.0, eviction_deadline_s=10.0
     )
-    relay = Relay(quarantine_after=1, probe_policy=policy, clock=clock)
     pipe = InMemoryPipe()
-    link = FlakyLink(pipe.a)
-    down = relay.attach(link)
     announcement, lost, fresh = telemetry_stream(
         [{"unit": 1, "temperature": 1.0}, {"unit": 2, "temperature": 2.0}]
     )
-    relay.forward(announcement)
-    link.broken = True
-    relay.forward(lost)
-    assert down.state == QUARANTINED
+    if peer == "relay downstream":
+        relay = Relay(quarantine_after=1, probe_policy=policy, clock=clock)
+        link = FlakyLink(pipe.a)
+        down = relay.attach(link)
+        relay.forward(announcement)
+        link.broken = True
+        relay.forward(lost)
+        link.broken = False
+        forward, heal = relay.forward, relay.heal
+
+        def state():
+            return down.state
+
+    else:
+        disp = FabricDispatcher(2, quarantine_after=1, probe_policy=policy, clock=clock)
+        key = enc.unpack_header(lost)[1:3]
+        disp.subscribe(key, pipe.a, format_name="telemetry")
+        disp.forward(announcement)
+        owner = disp.ring.owner(key)
+        disp.worker(owner).kill()
+        disp.forward(lost)  # the failed ingest quarantines the owner
+        forward, heal = disp.forward, disp.heal
+
+        def state():
+            return disp.worker_states()[owner]
+
+    assert state() == QUARANTINED
     quarantined_at = clock.now()
-    link.broken = False
     drain_frames(pipe.b)  # discard the pre-quarantine traffic
 
-    pings_seen = 0
+    probes_seen = 0
     answered = False
     resolved_at = None
     delivered = []  # non-heartbeat frames the peer received, in order
     # Safety bound: well past the deadline plus one max backoff.
     while clock.now() < quarantined_at + policy.eviction_deadline_s + policy.max_delay_s + 2 * step:
         clock.advance(step)
-        relay.heal()
+        heal()
         for frame in drain_frames(pipe.b):
             if enc.unpack_header(frame)[0] != enc.MSG_PING:
                 delivered.append(frame)
                 continue
-            pings_seen += 1
-            if answer_after is not None and pings_seen >= answer_after and not answered:
+            probes_seen += 1
+            if answer_after is not None and probes_seen >= answer_after and not answered:
                 pipe.b.send(enc.encode_pong(enc.parse_ping(frame)[0]))
                 answered = True
-        if down.state in (ACTIVE, EVICTED):
+        if peer == "fabric worker":
+            probes_seen = disp.metrics.value("fabric.probes_sent")
+            if answer_after is not None and probes_seen >= answer_after and not answered:
+                disp.worker(owner).revive()
+                answered = True
+        if state() in (ACTIVE, EVICTED):
             resolved_at = clock.now()
             break
 
-    assert down.state in (ACTIVE, EVICTED), "stuck probing"
+    assert state() in (ACTIVE, EVICTED), "stuck probing"
     assert resolved_at is not None
-    if down.state == EVICTED:
+    if state() == EVICTED:
         # Evicted no earlier than the deadline, and within one heal step
         # plus the step that crossed it — never lingering.
         assert resolved_at - quarantined_at >= policy.eviction_deadline_s
         assert resolved_at - quarantined_at <= policy.eviction_deadline_s + 2 * step
     else:
         # Reactivated: the replay means a fresh record still decodes.
-        relay.forward(fresh)
+        forward(fresh)
         delivered += [
             f
             for f in drain_frames(pipe.b)

@@ -9,6 +9,7 @@ close semantics), cross-process delivery over ``fork``, the
 the higher planes (chaos wrapper, relay fan-out, event channel ingest).
 """
 
+import asyncio
 import multiprocessing as mp
 import os
 import threading
@@ -179,10 +180,10 @@ class TestLifecycle:
         try:
             a.send(b"one")
             a.send(b"two")
-            assert a.write_queue_depth == 2
+            assert a.write_queue_depth == 2 * (4 + 3)  # bytes, prefixes included
             assert b.recv() == b"one"
             assert b.recv() == b"two"
-            a.drain()  # peer already consumed: returns immediately
+            a.wait_consumed()  # peer already consumed: returns immediately
             assert a.write_queue_depth == 0
         finally:
             a.close()
@@ -194,9 +195,39 @@ class TestLifecycle:
         b.close()
         try:
             with pytest.raises(PeerClosedError):
-                a.drain()
+                a.wait_consumed()
         finally:
             a.close()
+
+    def test_drain_through_fault_wrapper(self, tmp_path):
+        """``drain`` is the coroutine every transport shares, so a
+        wrapper can await it over shm (the blocking wait is
+        ``wait_consumed``), and the depth the wrapper reports is bytes."""
+        a, b = shm_pair(directory=str(tmp_path))
+        try:
+            chaos = FaultInjectingTransport(a, FaultPlan())
+            asyncio.run(chaos.drain())
+            chaos.send(b"abc")
+            assert chaos.write_queue_depth == 4 + 3
+            assert b.recv() == b"abc"
+            assert chaos.write_queue_depth == 0
+        finally:
+            a.close()
+            b.close()
+
+    def test_relay_depth_sums_bytes(self, tmp_path):
+        """A relay downstream on shm adds the ring's bytes to its own
+        overflow queue's bytes — one unit on both sides of the sum."""
+        a, b = shm_pair(directory=str(tmp_path))
+        try:
+            relay = Relay(overflow="drop_old")
+            down = relay.attach(a)
+            a.send(b"x" * 1000)
+            a.send(b"y" * 1000)
+            assert down.write_queue_depth == 2 * (4 + 1000)
+        finally:
+            a.close()
+            b.close()
 
     def test_no_files_left_behind(self, tmp_path):
         a, b = shm_pair(directory=str(tmp_path))

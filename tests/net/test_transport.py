@@ -1,18 +1,29 @@
 """Tests for transports, the network model, and loopback sockets."""
 
+import asyncio
+import inspect
+import socket
+
 import pytest
 
 from repro.net import (
+    AsyncSocketTransport,
     EchoServer,
+    FaultInjectingTransport,
+    FaultPlan,
     InMemoryPipe,
     NetworkModel,
+    ReconnectingTransport,
     SimulatedLink,
+    Transport,
     TransportError,
     frame,
     loopback_pair,
     paper_network_times_ms,
     read_frame,
+    shm_pair,
 )
+from repro.net.fabric import _InteriorLink
 
 
 class TestFraming:
@@ -321,3 +332,102 @@ class TestSmallKernelBuffers:
         finally:
             c.close()
             s.close()
+
+
+# -- the one transport contract -------------------------------------------------
+
+
+# Each factory returns a fresh idle transport and pushes any peer end
+# onto ``peers`` for closing.
+
+
+def _pipe_end(peers, tmp_path):
+    return InMemoryPipe().a
+
+
+def _socket(peers, tmp_path):
+    a, b = loopback_pair()
+    peers.append(b)
+    return a
+
+
+def _async_socket(peers, tmp_path):
+    a, b = socket.socketpair()
+    peers.append(b)
+    return AsyncSocketTransport(a)
+
+
+def _shm(peers, tmp_path):
+    a, b = shm_pair(directory=str(tmp_path))
+    peers.append(b)
+    return a
+
+
+def _simulated(peers, tmp_path):
+    return SimulatedLink().a
+
+
+def _fault_wrapper(peers, tmp_path):
+    return FaultInjectingTransport(InMemoryPipe().a, FaultPlan())
+
+
+def _reconnecting(peers, tmp_path):
+    return ReconnectingTransport(lambda: InMemoryPipe().a)
+
+
+def _interior_link(peers, tmp_path):
+    return _InteriorLink()
+
+
+TRANSPORTS = {
+    "pipe end": _pipe_end,
+    "socket": _socket,
+    "async socket": _async_socket,
+    "shm": _shm,
+    "simulated endpoint": _simulated,
+    "fault wrapper": _fault_wrapper,
+    "reconnecting wrapper": _reconnecting,
+    "fabric interior link": _interior_link,
+}
+
+#: The receive family follows ``recv``: coroutines on the async socket,
+#: plain methods everywhere else.
+RECEIVE_FAMILY = ("recv", "recv_many", "recv_many_leased")
+
+
+def _parameters(method) -> list[tuple]:
+    return [(p.name, p.kind, p.default) for p in inspect.signature(method).parameters.values()]
+
+
+@pytest.mark.parametrize("kind", sorted(TRANSPORTS))
+def test_capability_contract(kind, tmp_path):
+    """Every transport has every capability, each with the base's
+    parameters and sync/async shape, so callers never probe with
+    getattr."""
+
+    async def check():
+        peers = []
+        transport = TRANSPORTS[kind](peers, tmp_path)
+        try:
+            assert isinstance(transport, Transport)
+            receive_async = inspect.iscoroutinefunction(transport.recv)
+            for name, member in vars(Transport).items():
+                if name.startswith("_") or not callable(member):
+                    continue
+                expected = inspect.iscoroutinefunction(member) or (
+                    receive_async and name in RECEIVE_FAMILY
+                )
+                method = getattr(transport, name)
+                assert inspect.iscoroutinefunction(method) == expected, name
+                assert _parameters(method) == _parameters(member)[1:], name  # less self
+            assert isinstance(transport.generation, int)
+            assert transport.write_queue_depth == 0  # nothing sent yet
+            assert transport.pending() == 0
+            assert transport.poll_recv() is None
+            await transport.drain()
+        finally:
+            transport.close()
+            for peer in peers:
+                peer.close()
+
+    asyncio.run(check())

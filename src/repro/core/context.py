@@ -221,11 +221,14 @@ class IOContext:
         """Declare the native format this context wants records decoded to.
 
         Registered per format *name*; incoming wire formats with the same
-        name are matched against it field by field.
+        name are matched against it field by field.  Re-declaring the same
+        schema is free and returns the same :class:`IOFormat`; a different
+        schema under that name replaces it.
         """
         layout = layout_record(schema, self.machine)
-        iofmt = IOFormat.from_layout(layout)
-        self._expected[schema.name] = iofmt
+        iofmt = self._expected.get(schema.name)
+        if iofmt is None or iofmt.layout is not layout:
+            iofmt = self._expected[schema.name] = IOFormat.from_layout(layout)
         return iofmt
 
     def receive(self, message) -> dict[str, Any] | None:

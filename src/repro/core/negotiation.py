@@ -57,13 +57,7 @@ class Announcer:
         self._sent: set[tuple[int, int, int]] = set()
         self._link_memo: tuple | None = None  # (transport, gen, key prefix)
 
-    def ensure_announced(
-        self,
-        transport,
-        handle: FormatHandle,
-        *,
-        send: Callable[[bytes], None] | None = None,
-    ) -> None:
+    def ensure_announced(self, transport, handle: FormatHandle) -> None:
         """Announce ``handle`` if this link incarnation has not heard it.
 
         The announcement is compact (token) when the context has a
@@ -71,7 +65,7 @@ class Announcer:
         :meth:`IOContext.announce_compact` decides.
         """
         for frame in self.pending_announcements(transport, handle):
-            (send or transport.send)(frame)
+            transport.send(frame)
 
     def pending_announcements(self, transport, handle: FormatHandle) -> list[bytes]:
         """Announcement frames still owed to this link for ``handle``.

@@ -147,8 +147,17 @@ def _parse_call_header(data: bytes) -> tuple[int, bool, bool, str, bytes]:
 
 
 class _LinkNegotiators:
-    """Per-link inbound negotiators, the part RPC client and server share
-    (each sets ``ctx``, ``_negotiators`` and ``_neg_memo``)."""
+    """Per-link inbound negotiators and per-operation format handles, the
+    part RPC client and server share (each sets ``ctx``, ``_handles``,
+    ``_negotiators`` and ``_neg_memo``)."""
+
+    def _handle_for(self, operation: str, schema: RecordSchema) -> FormatHandle:
+        """The handle ``operation`` writes with: keyed by operation, so
+        operations whose schemas share a name keep their own formats."""
+        handle = self._handles.get(operation)
+        if handle is None:
+            handle = self._handles[operation] = self.ctx.register_format(schema)
+        return handle
 
     def _neg(self, transport: Transport) -> InboundNegotiator:
         """The inbound negotiator for the current incarnation of a link."""
@@ -190,14 +199,6 @@ class RpcClient(_LinkNegotiators):
         self._neg_memo: tuple | None = None
         self._next_id = 1
 
-    def _handle_for(self, schema: RecordSchema) -> FormatHandle:
-        handle = self._handles.get(schema.name)
-        if handle is None:
-            handle = self.ctx.register_format(schema)
-            self._handles[schema.name] = handle
-            # Expect replies of the operation's reply type.
-        return handle
-
     def invoke(
         self,
         transport: Transport,
@@ -221,8 +222,8 @@ class RpcClient(_LinkNegotiators):
         errors are never retried.
         """
         op = self.interface[operation]
-        handle = self._handle_for(op.request_schema)
-        self.ctx.expect(op.reply_schema)
+        handle = self._handle_for(operation, op.request_schema)
+        self.ctx.expect(op.reply_schema)  # free unless another op's reply shares its name
         request_id = self._next_id
         self._next_id += 1
         self.metrics.inc("calls")
@@ -282,11 +283,12 @@ class RpcClient(_LinkNegotiators):
         object_key: bytes,
         request: dict,
     ) -> None:
-        self._announcer.ensure_announced(transport, handle)
-        transport.send(
-            _call_header(request_id, reply=False, fault=False, operation=operation, key=object_key)
-        )
-        transport.send(self.ctx.encode(handle, request))
+        body = self.ctx.encode(handle, request)  # may raise: nothing owed is marked sent yet
+        transport.send_many([
+            *self._announcer.pending_announcements(transport, handle),
+            _call_header(request_id, reply=False, fault=False, operation=operation, key=object_key),
+            body,
+        ])
 
     def _await_reply(self, transport: Transport, request_id: int) -> dict:
         neg = self._neg(transport)
@@ -447,8 +449,9 @@ class RpcServer(_LinkNegotiators):
         each time it needs another inbound frame and is resumed with it
         (``gen.send(frame)``).
 
-        Replies go out through ``transport.send`` directly — on an
-        :class:`~repro.net.aio.AsyncSocketTransport` that is a
+        The whole reply is built before its first byte and goes out as one
+        ``transport.send_many`` burst, the list the dedup window stores; on
+        an :class:`~repro.net.aio.AsyncSocketTransport` that is a
         synchronous bounded-queue enqueue, which is why one protocol
         implementation serves both the blocking driver (:meth:`serve_one`)
         and the async driver (:func:`repro.net.aio.serve_rpc_call`).
@@ -466,23 +469,21 @@ class RpcServer(_LinkNegotiators):
             body = filt((yield))
         if not enc.is_pbio_message(body):
             raise PbioError("protocol error: expected a PBIO data message")
+        op = self.interface.operations.get(operation)
+        if op is not None:
+            # Free unless another op's request shares its name; no yield
+            # between this and the decode, so concurrent calls cannot swap it.
+            self.ctx.expect(op.request_schema)
         request = self.ctx.receive(body)
         token = transport_token(transport)
         window = self._replies.setdefault(token, OrderedDict())
         cached = window.get(request_id)
         if cached is not None:
             # Retransmission of a request already executed: replay the
-            # recorded reply frames verbatim, don't run the servant again.
+            # recorded reply burst verbatim, don't run the servant again.
             self.metrics.inc("dedup_hits")
-            for frame_bytes in cached:
-                transport.send(frame_bytes)
+            transport.send_many(cached)
             return
-        frames: list[bytes] = []
-
-        def send(data: bytes) -> None:
-            frames.append(bytes(data))
-            transport.send(data)
-
         try:
             servant = self._servants.get(bytes(key))
             if servant is None:
@@ -490,28 +491,28 @@ class RpcServer(_LinkNegotiators):
             method = servant.get(operation)
             if method is None:
                 raise RpcFault(f"no operation {operation!r} on {key!r}")
+            handle = self._handle_for(operation, op.reply_schema)
             try:
-                result = method(request)
+                body = self.ctx.encode(handle, method(request))  # an unencodable result is a servant fault
             except RpcFault:
                 raise
             except Exception as exc:  # a broken servant must not kill serving
                 self.metrics.inc("servant_errors")
                 raise RpcFault(f"internal error in {operation!r}: {exc!r}") from exc
-            op = self.interface[operation]
-            handle = self._handles.get(op.reply_schema.name)
-            if handle is None:
-                handle = self.ctx.register_format(op.reply_schema)
-                self._handles[op.reply_schema.name] = handle
-            send(_call_header(request_id, reply=True, fault=False, operation=operation, key=b""))
-            self._announcer.ensure_announced(transport, handle, send=send)
-            send(self.ctx.encode(handle, result))
+            frames = [
+                _call_header(request_id, reply=True, fault=False, operation=operation, key=b""),
+                *self._announcer.pending_announcements(transport, handle),
+                body,
+            ]
             self.metrics.inc("requests_served")
         except RpcFault as exc:
-            frames.clear()  # a half-sent success reply is not replayable
-            send(_call_header(request_id, reply=True, fault=True, operation=operation, key=b""))
-            send(str(exc).encode("utf-8"))
+            frames = [
+                _call_header(request_id, reply=True, fault=True, operation=operation, key=b""),
+                str(exc).encode("utf-8"),
+            ]
             self.metrics.inc("faults")
         if self._dedup_window:
             window[request_id] = frames
             while len(window) > self._dedup_window:
                 window.popitem(last=False)
+        transport.send_many(frames)

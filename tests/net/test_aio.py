@@ -20,7 +20,7 @@ import time
 import pytest
 
 from repro.abi import SPARC_V8, X86, RecordSchema
-from repro.core import IOContext, PbioConnection, RpcClient, RpcInterface, RpcOperation, RpcServer
+from repro.core import IOContext, PbioConnection, RpcClient, RpcFault, RpcInterface, RpcOperation, RpcServer
 from repro.core import encoder as enc
 from repro.fmtserv import FormatServer, FormatService
 from repro.net import (
@@ -319,6 +319,23 @@ class TestAsyncRpc:
             # The reply can reach the client a beat before the server
             # task returns to its accounting, so poll rather than assert.
             wait_until(lambda: rpc.metrics.value("requests_served") == 5)
+
+    def test_unencodable_result_faults_and_connection_survives(self):
+        """A servant result that does not fit the reply schema becomes a
+        fault reply; the connection handler keeps serving."""
+        results = iter([{"total": "x"}, {"total": 5.0}])
+        rpc = RpcServer(SPARC_V8, CALC)
+        rpc.register(b"calc", {"add": lambda _req: next(results)})
+        server = AsyncServer(rpc_handler(rpc))
+        with serving(server) as (host, port):
+            client = RpcClient(X86, CALC)
+            with connect(host, port, timeout_s=5.0) as t:
+                start = time.monotonic()
+                with pytest.raises(RpcFault, match="internal error in 'add'"):
+                    client.invoke(t, b"calc", "add", {"a": 2.0, "b": 3.0})
+                assert time.monotonic() - start < 2.0  # a reply, not a timeout
+                assert client.invoke(t, b"calc", "add", {"a": 2.0, "b": 3.0}) == {"total": 5.0}
+            assert rpc.metrics.value("servant_errors") == 1
 
     def test_two_clients_interleaved(self):
         rpc = RpcServer(SPARC_V8, CALC)
